@@ -1,23 +1,25 @@
 // serve_http — transport-overhead benchmark for the HTTP front end: the
 // same closed-loop sampling workload driven twice per client count, once
 // as in-process SampleService submits and once over a loopback socket
-// through net::HttpEndpoint + net::ApiClient (POST /v1/sample, long-poll,
-// paginate, reassemble), at 1/4/8 concurrent clients.
+// through net::HttpEndpoint + one serve::RemoteShard per client (POST
+// /v1/sample, long-poll, paginate, reassemble), at 1/4/8 concurrent
+// clients. Both transports run the same client loop against a
+// SampleBackend; only the backend differs.
 //
 //   ./serve_http --quick
 //   ./serve_http --medium --out artifacts/
 //
 // Per point it reports jobs/sec, rows/sec, and p50/p95 job latency; the
-// XOR-folded digest of every job's reassembled bytes must be *identical*
+// summed digest of every job's reassembled bytes must be *identical*
 // between the two transports at every client count — the determinism
 // contract crossing the wire is asserted here, not just documented. Always
 // emits the machine-readable BENCH_serve_http.json artifact (kind
 // "serve_http_bench") into --out (or the --json-out path when given).
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -25,9 +27,10 @@
 
 #include "bench_common.hpp"
 #include "eval/experiment.hpp"
-#include "net/client.hpp"
 #include "net/rest.hpp"
+#include "serve/latency_window.hpp"
 #include "serve/model_host.hpp"
+#include "serve/remote_shard.hpp"
 #include "serve/replay.hpp"
 #include "serve/sample_service.hpp"
 #include "util/json.hpp"
@@ -74,15 +77,10 @@ struct Point {
   double rows_per_sec = 0.0;
   double p50_ms = 0.0;
   double p95_ms = 0.0;
-  std::uint64_t digest = 0;  ///< XOR over per-job table hashes
+  /// Sum over per-job table hashes (the replay/soak fold: order-free, and
+  /// two identical jobs do not cancel out).
+  std::uint64_t digest = 0;
 };
-
-double percentile(std::vector<double> v, double q) {
-  if (v.empty()) return std::nan("");
-  std::sort(v.begin(), v.end());
-  const auto idx = static_cast<std::size_t>(q * static_cast<double>(v.size() - 1));
-  return v[idx];
-}
 
 std::string hash_hex(std::uint64_t h) {
   char buf[19];
@@ -97,12 +95,13 @@ std::uint64_t job_seed(std::size_t client, std::size_t index) {
   return 5000 + 1000 * client + index;
 }
 
-/// Closed-loop sweep point: `clients` threads each run jobs_per_client
-/// submissions back to back. `run_job` samples one (client, index) job and
-/// returns the table digest; it is the only transport-specific part.
-template <typename RunJob>
-Point run_point(const std::string& transport, std::size_t clients,
-                const HttpScale& scale, RunJob run_job) {
+/// Closed-loop sweep point: client c runs jobs_per_client submissions back
+/// to back against backends[c]. The backend is the only transport-specific
+/// part.
+Point run_point(const std::string& transport,
+                const std::vector<serve::SampleBackend*>& backends,
+                const HttpScale& scale) {
+  const std::size_t clients = backends.size();
   Point point;
   point.transport = transport;
   point.clients = clients;
@@ -115,12 +114,18 @@ Point run_point(const std::string& transport, std::size_t clients,
   for (std::size_t c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
       for (std::size_t j = 0; j < scale.jobs_per_client; ++j) {
+        serve::SampleJob job;
+        job.model_key = scale.model;
+        job.rows = scale.rows_per_job;
+        job.seed = job_seed(c, j);
+        job.chunk_rows = scale.chunk_rows;
         util::Stopwatch timer;
-        const std::uint64_t h = run_job(c, j);
+        const std::uint64_t h = serve::hash_table(
+            backends[c]->submit_job(std::move(job)).future.get().table);
         const double ms = timer.seconds() * 1e3;
         const std::lock_guard<std::mutex> lock(mutex);
         latencies.push_back(ms);
-        digest ^= h;
+        digest += h;
       }
     });
   }
@@ -131,8 +136,9 @@ Point run_point(const std::string& transport, std::size_t clients,
       static_cast<double>(point.jobs) / point.wall_seconds;
   point.rows_per_sec =
       point.jobs_per_sec * static_cast<double>(scale.rows_per_job);
-  point.p50_ms = percentile(latencies, 0.50);
-  point.p95_ms = percentile(latencies, 0.95);
+  std::sort(latencies.begin(), latencies.end());
+  point.p50_ms = serve::LatencyWindow::percentile(latencies, 0.50);
+  point.p95_ms = serve::LatencyWindow::percentile(latencies, 0.95);
   point.digest = digest;
   return point;
 }
@@ -213,11 +219,13 @@ int main(int argc, char** argv) {
     (void)service.submit_job(std::move(job)).future.get();
   }
 
+  // The server pins one worker per keep-alive connection, and every socket
+  // client (a RemoteShard) holds two: control + harvester.
   net::RestConfig rest_cfg;
   net::ServerConfig server_cfg;
   server_cfg.worker_threads =
-      *std::max_element(scale.client_counts.begin(),
-                        scale.client_counts.end()) +
+      2 * *std::max_element(scale.client_counts.begin(),
+                            scale.client_counts.end()) +
       2;
   net::HttpEndpoint endpoint(service, rest_cfg, server_cfg);
   endpoint.server.start();
@@ -232,32 +240,21 @@ int main(int argc, char** argv) {
   bool digests_match = true;
   for (const std::size_t clients : scale.client_counts) {
     const auto in_process = run_point(
-        "in-process", clients, scale, [&](std::size_t c, std::size_t j) {
-          serve::SampleJob job;
-          job.model_key = scale.model;
-          job.rows = scale.rows_per_job;
-          job.seed = job_seed(c, j);
-          job.chunk_rows = scale.chunk_rows;
-          return serve::hash_table(
-              service.submit_job(std::move(job)).future.get().table);
-        });
+        "in-process",
+        std::vector<serve::SampleBackend*>(clients, &service), scale);
 
-    // One ApiClient (one keep-alive connection) per socket client thread,
-    // constructed up front so connect() cost stays out of job latencies.
-    std::vector<std::unique_ptr<net::ApiClient>> clients_pool;
+    // One RemoteShard per socket client thread, like one remote user.
+    serve::RemoteShardConfig remote_cfg;
+    remote_cfg.port = port;
+    remote_cfg.page_rows = scale.page_rows;
+    remote_cfg.harvest_threads = 1;
+    std::vector<std::unique_ptr<serve::RemoteShard>> remotes;
+    std::vector<serve::SampleBackend*> socket_backends;
     for (std::size_t c = 0; c < clients; ++c) {
-      clients_pool.push_back(
-          std::make_unique<net::ApiClient>("127.0.0.1", port));
+      remotes.push_back(std::make_unique<serve::RemoteShard>(remote_cfg));
+      socket_backends.push_back(remotes.back().get());
     }
-    const auto socket = run_point(
-        "socket", clients, scale, [&](std::size_t c, std::size_t j) {
-          auto& api = *clients_pool[c];
-          const std::uint64_t id =
-              api.submit(scale.model, scale.rows_per_job, job_seed(c, j),
-                         scale.chunk_rows);
-          return serve::hash_table(
-              api.wait_result(id, scale.page_rows).table);
-        });
+    const auto socket = run_point("socket", socket_backends, scale);
 
     for (const auto& p : {in_process, socket}) {
       std::printf("%-11s %8zu %6llu %10.1f %12.0f %10.2f %10.2f  %s\n",

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "panda/filters.hpp"
+#include "util/hash.hpp"
 
 namespace surro::sched {
 
@@ -45,16 +46,6 @@ struct Waiting {
   SimJob job;
   std::size_t site;
 };
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xFF;
-    h *= kFnvPrime;
-  }
-}
 }  // namespace
 
 double starvation_index(std::span<const double> site_mean_wait_hours,
@@ -79,23 +70,23 @@ double starvation_index(std::span<const double> site_mean_wait_hours,
 }
 
 std::uint64_t metrics_digest(const SimMetrics& m) {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = util::kFnvShortOffset;
   const auto mix_d = [&h](double v) {
-    fnv_mix(h, std::bit_cast<std::uint64_t>(v));
+    util::fnv_mix_u64(h, std::bit_cast<std::uint64_t>(v));
   };
   mix_d(m.mean_wait_hours);
   mix_d(m.p95_wait_hours);
   mix_d(m.mean_utilization);
   mix_d(m.transferred_bytes);
   mix_d(m.makespan_days);
-  fnv_mix(h, m.completed_jobs);
+  util::fnv_mix_u64(h, m.completed_jobs);
   mix_d(m.max_site_mean_wait_hours);
   mix_d(m.starvation_index);
-  fnv_mix(h, m.redirected_jobs);
-  fnv_mix(h, m.clamped_jobs);
-  fnv_mix(h, m.site_mean_wait_hours.size());
+  util::fnv_mix_u64(h, m.redirected_jobs);
+  util::fnv_mix_u64(h, m.clamped_jobs);
+  util::fnv_mix_u64(h, m.site_mean_wait_hours.size());
   for (const double v : m.site_mean_wait_hours) mix_d(v);
-  for (const std::size_t c : m.site_completed) fnv_mix(h, c);
+  for (const std::size_t c : m.site_completed) util::fnv_mix_u64(h, c);
   return h;
 }
 

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "linalg/simd.hpp"
+#include "util/hash.hpp"
 #include "util/json.hpp"
 #include "util/json_parse.hpp"
 #include "util/stringx.hpp"
@@ -16,25 +17,6 @@
 namespace surro::serve {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t bits) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    h ^= (bits >> shift) & 0xFF;
-    h *= kFnvPrime;
-  }
-}
-
-void fnv_mix(std::uint64_t& h, const std::string& s) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  h ^= 0xFF;  // length-free terminator so "ab","c" != "a","bc"
-  h *= kFnvPrime;
-}
 
 /// Range-checked double → unsigned conversion: a negative, non-finite, or
 /// absurd script value must fail parsing, not wrap through the cast (which
@@ -161,16 +143,17 @@ ReplayScript parse_script_inline(const std::string& spec) {
 }
 
 std::uint64_t hash_table(const tabular::Table& table) {
-  std::uint64_t h = kFnvOffset;
-  fnv_mix(h, static_cast<std::uint64_t>(table.num_rows()));
+  std::uint64_t h = util::kFnvOffset;
+  util::fnv_mix_u64(h, static_cast<std::uint64_t>(table.num_rows()));
   for (const std::size_t col : table.schema().numerical_indices()) {
     for (const double v : table.numerical(col)) {
-      fnv_mix(h, std::bit_cast<std::uint64_t>(v));
+      util::fnv_mix_u64(h, std::bit_cast<std::uint64_t>(v));
     }
   }
   for (const std::size_t col : table.schema().categorical_indices()) {
     for (std::size_t r = 0; r < table.num_rows(); ++r) {
-      fnv_mix(h, table.label_at(col, r));
+      util::fnv_mix_bytes(h, table.label_at(col, r));
+      util::fnv_mix_byte(h, 0xFF);  // terminator: "ab","c" != "a","bc"
     }
   }
   return h;
@@ -230,6 +213,8 @@ ReplayResult run_replay(SampleBackend& service, const ReplayScript& script,
         } else {
           ++tally.rejected;
         }
+      } catch (const std::exception&) {
+        ++tally.failures;  // e.g. a dead remote backend's TransportError
       }
     }
     for (auto& future : futures) {

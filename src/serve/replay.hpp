@@ -54,7 +54,10 @@ struct ReplayResult {
   std::uint64_t jobs = 0;       ///< submissions attempted
   std::uint64_t completed = 0;  ///< futures that delivered a table
   std::uint64_t rows = 0;       ///< synthetic rows returned
-  std::uint64_t failures = 0;  ///< futures that surfaced an execution error
+  /// Jobs that failed outright: an execution error on the future, or a
+  /// submit that threw something other than a ServiceError (a transport
+  /// failure on a remote backend).
+  std::uint64_t failures = 0;
   /// Overload outcomes (all zero unless the service has admission bounds,
   /// deadlines, or cancellation in play).
   std::uint64_t rejected = 0;         ///< submits refused at admission

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace surro::serve {
@@ -24,12 +25,7 @@ std::uint64_t mix(std::uint64_t x) noexcept {
 std::uint64_t ShardRouter::key_hash(std::string_view key) noexcept {
   // FNV-1a over the bytes, then one SplitMix64 round to spread the FNV
   // output (whose low bits correlate for short keys) across all 64 bits.
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return mix(h);
+  return mix(util::fnv1a(key, util::kFnvShortOffset));
 }
 
 ShardRouter::ShardRouter(RouterConfig cfg) : cfg_(cfg) {

@@ -9,10 +9,9 @@
 #include <thread>
 #include <utility>
 
-#include "net/client.hpp"
-#include "net/error_map.hpp"
 #include "net/rest.hpp"
 #include "serve/latency_window.hpp"
+#include "serve/remote_shard.hpp"
 #include "serve/shard_pool.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -189,28 +188,39 @@ SoakResult run_soak(ModelHost& host, const SoakConfig& cfg) {
   SampleBackend& service = *backend;
 
   // Socket mode: the same bounded service, but behind the REST front end
-  // on an ephemeral loopback port. Clients switch from submit()/future to
-  // ApiClient POST + paginated GET; everything else (arrival processes,
-  // identity cycling, expected digests) is shared, so a digest or SLO
-  // difference between the two modes isolates the wire path.
+  // on an ephemeral loopback port, and each client drives it through its
+  // own RemoteShard — the SampleBackend face of the wire protocol (POST,
+  // long-poll, paginate, reassemble). The client loop is the same for both
+  // transports, so a digest or SLO difference between them isolates the
+  // wire path.
   std::unique_ptr<net::HttpEndpoint> endpoint;
-  std::uint16_t port = 0;
+  std::vector<std::unique_ptr<RemoteShard>> remotes;
   if (cfg.over_socket) {
     net::RestConfig rest_cfg;
     rest_cfg.max_wait_ms = std::max(rest_cfg.max_wait_ms, cfg.poll_wait_ms);
     // Retained-job headroom: every client paginates its own backlog; the
     // purge must never evict a half-read result under it.
     rest_cfg.completed_cap = std::max<std::size_t>(256, cfg.clients * 8);
+    // The server pins one worker per keep-alive connection, and every
+    // client holds two (control + harvester); +2 leaves room for probes.
     net::ServerConfig server_cfg;
     server_cfg.worker_threads =
-        cfg.http_workers != 0 ? cfg.http_workers : cfg.clients + 2;
+        cfg.http_workers != 0 ? cfg.http_workers : 2 * cfg.clients + 2;
     endpoint = std::make_unique<net::HttpEndpoint>(service, rest_cfg,
                                                    server_cfg);
     endpoint->server.start();
-    port = endpoint->server.port();
+    RemoteShardConfig remote_cfg;
+    remote_cfg.port = endpoint->server.port();
+    remote_cfg.page_rows = cfg.page_rows;
+    remote_cfg.poll_wait_ms = cfg.poll_wait_ms;
+    remote_cfg.harvest_threads = 1;
+    for (std::size_t c = 0; c < cfg.clients; ++c) {
+      remotes.push_back(std::make_unique<RemoteShard>(remote_cfg));
+    }
     if (cfg.verbose) {
       std::printf("soak: socket mode on 127.0.0.1:%u (%zu http workers)\n",
-                  static_cast<unsigned>(port), server_cfg.worker_threads);
+                  static_cast<unsigned>(remote_cfg.port),
+                  server_cfg.worker_threads);
     }
   }
 
@@ -258,6 +268,7 @@ SoakResult run_soak(ModelHost& host, const SoakConfig& cfg) {
     util::Stopwatch point_wall;
     const auto client = [&](std::size_t c) {
       auto& tally = tallies[c];
+      SampleBackend& target = remotes.empty() ? service : *remotes[c];
       util::Rng arrivals(arrival_seed(cfg, p, c));
       struct Accepted {
         std::future<SampleResult> future;
@@ -289,19 +300,24 @@ SoakResult run_soak(ModelHost& host, const SoakConfig& cfg) {
         ++tally.submitted;
         try {
           in_flight.push_back(
-              {service.submit(make_job(identity)), identity});
+              {target.submit(make_job(identity)), identity});
         } catch (const ServiceError& e) {
           if (e.code() == ServiceError::Code::kShed) {
             ++tally.shed;
           } else {
             ++tally.rejected;
           }
+        } catch (const std::exception&) {
+          ++tally.failed;  // e.g. a TransportError from a dead endpoint
         }
       }
       for (auto& entry : in_flight) {
         try {
           const SampleResult r = entry.future.get();
           ++tally.accepted;
+          // Service-reported latency on both transports (RemoteShard
+          // carries it over from the job document): the SLO is about the
+          // service, not wire round-trips.
           tally.latencies_ms.push_back(r.total_seconds * 1e3);
           if (hash_table(r.table) != expected_for(entry.identity)) {
             tally.hashes_ok = false;
@@ -320,97 +336,10 @@ SoakResult run_soak(ModelHost& host, const SoakConfig& cfg) {
       }
     };
 
-    // The socket twin of `client`: same arrival process, same identity
-    // cycling, but every submit is a POST and every harvest a long-poll +
-    // pagination loop that rebuilds the table from the wire bytes before
-    // digesting it.
-    const auto socket_client = [&](std::size_t c) {
-      auto& tally = tallies[c];
-      util::Rng arrivals(arrival_seed(cfg, p, c));
-      net::ApiClient api("127.0.0.1", port);
-      struct Accepted {
-        std::uint64_t job_id = 0;
-        std::size_t identity = 0;
-      };
-      std::vector<Accepted> in_flight;
-      util::Stopwatch clock;
-      double next_at = arrivals.exponential(rate_per_client);
-      std::size_t k = c;
-      const double hard_stop = cfg.duration_seconds * 20.0;
-      for (;;) {
-        const double now = clock.seconds();
-        if (now >= cfg.duration_seconds &&
-            (tally.submitted >= min_per_client || now >= hard_stop)) {
-          break;
-        }
-        if (next_at > now) {
-          std::this_thread::sleep_for(std::chrono::duration<double>(
-              std::min(next_at - now, hard_stop - now)));
-          continue;
-        }
-        next_at += arrivals.exponential(rate_per_client);
-        const std::size_t identity = k % identities;
-        k += cfg.clients;
-        ++tally.submitted;
-        const SampleJob job = make_job(identity);
-        try {
-          const std::uint64_t id =
-              api.submit(job.model_key, job.rows, job.seed, job.chunk_rows,
-                         job.priority, job.deadline_ms);
-          in_flight.push_back({id, identity});
-        } catch (const net::ApiError& e) {
-          // The structured codes are the typed ServiceError, 1:1 via the
-          // shared wire table (src/net/error_map.hpp).
-          ServiceError::Code code;
-          if (!net::parse_service_error_code(e.code(), code)) {
-            ++tally.failed;
-          } else if (code == ServiceError::Code::kShed) {
-            ++tally.shed;
-          } else if (code == ServiceError::Code::kOverloaded) {
-            ++tally.rejected;
-          } else {
-            ++tally.failed;
-          }
-        } catch (const std::exception&) {
-          ++tally.failed;
-        }
-      }
-      for (const auto& entry : in_flight) {
-        try {
-          const net::RemoteResult r =
-              api.wait_result(entry.job_id, cfg.page_rows, cfg.poll_wait_ms);
-          ++tally.accepted;
-          // Service-reported latency, same semantics as the in-process
-          // mode (the SLO is about the service, not wire round-trips).
-          tally.latencies_ms.push_back(r.total_seconds * 1e3);
-          if (hash_table(r.table) != expected_for(entry.identity)) {
-            tally.hashes_ok = false;
-          }
-        } catch (const net::ApiError& e) {
-          ServiceError::Code code;
-          if (!net::parse_service_error_code(e.code(), code)) {
-            ++tally.failed;
-          } else if (code == ServiceError::Code::kShed) {
-            ++tally.shed;
-          } else if (code == ServiceError::Code::kDeadline) {
-            ++tally.deadline_missed;
-          } else {
-            ++tally.failed;
-          }
-        } catch (const std::exception&) {
-          ++tally.failed;
-        }
-      }
-    };
-
     std::vector<std::thread> threads;
     threads.reserve(cfg.clients);
     for (std::size_t c = 0; c < cfg.clients; ++c) {
-      if (cfg.over_socket) {
-        threads.emplace_back(socket_client, c);
-      } else {
-        threads.emplace_back(client, c);
-      }
+      threads.emplace_back(client, c);
     }
     for (auto& t : threads) t.join();
     service.drain();  // the no-deadlock-on-drain-mid-overload check
@@ -484,6 +413,7 @@ SoakResult run_soak(ModelHost& host, const SoakConfig& cfg) {
     const net::ServerStats server = endpoint->server.stats();
     result.http_connections = server.connections;
     result.http_requests = server.requests;
+    remotes.clear();  // close the clients' connections, then the server
     endpoint->server.stop();  // before the service (handlers borrow it)
   }
   result.wall_seconds = total.seconds();

@@ -53,20 +53,25 @@ struct SoakConfig {
 
   /// Drive the sweep over a loopback HTTP socket instead of in-process
   /// submits: run_soak stands up a net::HttpEndpoint (ephemeral port) over
-  /// the bounded service, and every client becomes a net::ApiClient —
+  /// the bounded service, and every client thread submits through its own
+  /// serve::RemoteShard on it (one control + one harvester connection) —
   /// POST /v1/sample for each arrival, then long-poll + paginate the rows
-  /// back and digest them. Calibration and the expected digests stay
-  /// in-process on purpose: the check is that the socket path lands on the
-  /// *same* expected_hash, i.e. the determinism contract and the overload
-  /// SLOs survive the wire (serialization, pagination, reassembly).
+  /// back. The client loop is the in-process one, run against that
+  /// SampleBackend. Calibration and the expected digests stay in-process
+  /// on purpose: the check is that the socket path lands on the *same*
+  /// expected_hash, i.e. the determinism contract and the overload SLOs
+  /// survive the wire (serialization, pagination, reassembly).
   bool over_socket = false;
-  /// HTTP server worker threads in socket mode (0 = clients + 2, enough
-  /// that every client can hold a connection plus slack for stats probes).
+  /// HTTP server worker threads in socket mode (0 = 2 × clients + 2: the
+  /// server pins a worker per keep-alive connection, each client holds
+  /// two, and the +2 leaves slack for stats probes).
   std::size_t http_workers = 0;
-  /// Page size clients paginate results with (0 = the server's default
-  /// page, which still exercises pagination when rows_per_job exceeds it).
+  /// Page size each client's RemoteShard paginates results with (0 = the
+  /// server's default page, which still exercises pagination when
+  /// rows_per_job exceeds it).
   std::size_t page_rows = 0;
-  /// Long-poll budget per GET /v1/jobs/{id} while a job is pending.
+  /// Long-poll budget per GET /v1/jobs/{id} while a job is pending
+  /// (RemoteShardConfig::poll_wait_ms of each client).
   double poll_wait_ms = 250.0;
 
   /// Worker shards for the bounded service under test. 1 = the classic
@@ -113,7 +118,7 @@ struct SoakPoint {
   std::uint64_t rejected = 0;         ///< refused at admission
   std::uint64_t shed = 0;             ///< dropped by the shed policy
   std::uint64_t deadline_missed = 0;
-  std::uint64_t failed = 0;           ///< execution errors (should be 0)
+  std::uint64_t failed = 0;  ///< execution/transport errors (should be 0)
   /// Accepted-job latency percentiles (+inf when nothing was accepted;
   /// degrades to null in JSON).
   double p50_ms = 0.0;

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "linalg/simd.hpp"
+#include "util/hash.hpp"
 #include "util/json.hpp"
 #include "util/stringx.hpp"
 #include "util/thread_pool.hpp"
@@ -14,16 +15,6 @@
 namespace surro::twin {
 
 namespace {
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xFF;
-    h *= kFnvPrime;
-  }
-}
-
 int sign_of(double d) noexcept { return (d > 0.0) - (d < 0.0); }
 }  // namespace
 
@@ -193,16 +184,16 @@ TwinResult ScenarioTwin::run(const tabular::Table& real,
       /*grain=*/1, cfg_.threads);
 
   // Canonical-order fold: bitwise identical for any thread count.
-  std::uint64_t digest = kFnvOffset;
+  std::uint64_t digest = util::kFnvShortOffset;
   double fidelity_sum = 0.0;
   double gap_sum = 0.0;
   std::size_t gap_count = 0;
   for (const TwinCell& cell : result.cells) {
-    fnv_mix(digest, static_cast<std::uint64_t>(cell.disruption));
-    fnv_mix(digest, static_cast<std::uint64_t>(cell.drift));
+    util::fnv_mix_u64(digest, static_cast<std::uint64_t>(cell.disruption));
+    util::fnv_mix_u64(digest, static_cast<std::uint64_t>(cell.drift));
     for (const PolicyOutcome& o : cell.outcomes) {
-      fnv_mix(digest, sched::metrics_digest(o.real));
-      fnv_mix(digest, sched::metrics_digest(o.synth));
+      util::fnv_mix_u64(digest, sched::metrics_digest(o.real));
+      util::fnv_mix_u64(digest, sched::metrics_digest(o.synth));
       gap_sum += o.outcome_gap;
       ++gap_count;
     }

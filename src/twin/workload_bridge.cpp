@@ -5,22 +5,10 @@
 
 #include "panda/filters.hpp"
 #include "serve/sample_service.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace surro::twin {
-
-namespace {
-// FNV-1a over a label string (for the unknown-site scatter: stable in the
-// label bytes alone, never in vocabulary order).
-std::uint64_t label_hash(const std::string& label) noexcept {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char ch : label) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-}  // namespace
 
 std::uint64_t row_derive(std::uint64_t seed, std::uint64_t row,
                          std::uint64_t salt) noexcept {
@@ -57,15 +45,17 @@ std::vector<sched::SimJob> WorkloadBridge::jobs(
   const auto site_codes = table.categorical(c_site);
   const auto& site_vocab = table.vocabulary(c_site);
 
-  // Vocab entry -> catalog index. Unknown labels scatter by label hash,
-  // so the mapping is a pure function of the label string.
+  // Vocab entry -> catalog index. Unknown labels scatter by an FNV-1a
+  // hash of the label bytes, so the mapping is a pure function of the
+  // label string, never of vocabulary order.
   std::vector<std::size_t> site_map(site_vocab.size());
   for (std::size_t v = 0; v < site_vocab.size(); ++v) {
     try {
       site_map[v] = catalog_->index_of(site_vocab[v]);
     } catch (const std::out_of_range&) {
-      site_map[v] = static_cast<std::size_t>(label_hash(site_vocab[v]) %
-                                             catalog_->size());
+      site_map[v] = static_cast<std::size_t>(
+          util::fnv1a(site_vocab[v], util::kFnvShortOffset) %
+          catalog_->size());
     }
   }
 

@@ -4,7 +4,9 @@
 // socket path — an HttpEndpoint on an ephemeral loopback port driven by
 // HttpClient/ApiClient, including the headline contract: rows reassembled
 // from paginated pages over the wire hash identically to a local
-// sample_into() of the same (model, rows, seed, chunk_rows) identity.
+// sample_into() of the same (model, rows, seed, chunk_rows) identity —
+// and the socket soak, whose RemoteShard clients must land on the same
+// expected_hash as the in-process sweep with no failed job.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -27,6 +29,7 @@
 #include "serve/model_host.hpp"
 #include "serve/replay.hpp"
 #include "serve/sample_service.hpp"
+#include "serve/soak.hpp"
 #include "util/json_parse.hpp"
 #include "util/rng.hpp"
 
@@ -764,6 +767,40 @@ TEST(HttpEndpointSocket, KeepAliveServesManyRequestsOnOneConnection) {
   EXPECT_EQ(bad.status, 400);
   EXPECT_GE(endpoint.server.stats().parse_errors, 1u);
   endpoint.server.stop();
+}
+
+// ------------------------------------------------------------ socket soak --
+
+TEST(Soak, SocketRunLandsOnInProcessExpectedHash) {
+  serve::ModelHost host{serve::HostConfig{}};
+  auto model = models::make_generator("smote", tiny_budget(), 7);
+  model->fit(cluster_table(300, 21));
+  host.register_fitted("smote", std::move(model));
+
+  serve::SoakConfig cfg;
+  cfg.models = {"smote"};
+  cfg.load_multipliers = {0.5, 2.0};
+  cfg.clients = 2;
+  cfg.rows_per_job = 300;
+  cfg.chunk_rows = 128;
+  cfg.seed_streams = 4;
+  cfg.duration_seconds = 0.3;
+  cfg.page_rows = 128;  // several pages per job over the wire
+  const serve::SoakResult in_process = serve::run_soak(host, cfg);
+  cfg.over_socket = true;
+  const serve::SoakResult socket = serve::run_soak(host, cfg);
+
+  EXPECT_TRUE(in_process.deterministic);
+  EXPECT_TRUE(socket.deterministic);
+  EXPECT_EQ(in_process.expected_hash, socket.expected_hash);
+  ASSERT_EQ(socket.points.size(), cfg.load_multipliers.size());
+  for (const serve::SoakPoint& point : socket.points) {
+    SCOPED_TRACE("load " + std::to_string(point.multiplier));
+    EXPECT_GT(point.accepted, 0u);
+    EXPECT_EQ(point.failed, 0u);
+  }
+  EXPECT_GT(socket.http_requests, 0u);
+  EXPECT_EQ(in_process.http_requests, 0u);
 }
 
 }  // namespace

@@ -44,6 +44,7 @@
 #include "net/error_map.hpp"
 #include "net/rest.hpp"
 #include "serve/model_host.hpp"
+#include "serve/replay.hpp"
 #include "serve/sample_service.hpp"
 #include "serve/shard_pool.hpp"
 #include "serve/worker_fleet.hpp"
@@ -529,6 +530,20 @@ TEST(RemoteShardConformance, DeadWorkerSubmitIsTypedTransportError) {
   const auto stats = shard.stats();
   EXPECT_EQ(stats.submitted, 0u);
   EXPECT_EQ(stats.queue_depth, 0u);
+}
+
+TEST(RemoteShardConformance, ReplayOverDeadWorkerCountsFailuresNotAbort) {
+  // Submits that die in the transport are failed jobs to the replay
+  // harness, not an exception escaping a client thread.
+  RemoteShard shard(quick_remote(closed_port()));
+  ReplayScript script;
+  script.requests.push_back({make_job({"smote", 1}), /*repeat=*/2, 1});
+  ReplayOptions options;
+  options.clients = 2;
+  const ReplayResult result = run_replay(shard, script, options);
+  EXPECT_EQ(result.jobs, 2u);
+  EXPECT_EQ(result.failures, 2u);
+  EXPECT_EQ(result.completed, 0u);
 }
 
 // ------------------------------------------------------------ mixed pools --

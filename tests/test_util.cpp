@@ -1,10 +1,15 @@
-// String helpers, CSV round trips, stable math, and histograms.
+// String helpers, CSV round trips, stable math, histograms, and the FNV-1a
+// digest helper (pinned to the standard vectors and to one serve::hash_table
+// value, so no refactor can silently move a published digest).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "serve/replay.hpp"
+#include "tabular/table.hpp"
 #include "util/csv.hpp"
+#include "util/hash.hpp"
 #include "util/histogram.hpp"
 #include "util/mathx.hpp"
 #include "util/stringx.hpp"
@@ -279,6 +284,32 @@ TEST(Histogram, CentersAreMonotone) {
   for (std::size_t i = 1; i < centers.size(); ++i) {
     EXPECT_GT(centers[i], centers[i - 1]);
   }
+}
+
+// -------------------------------------------------------------------- hash --
+
+TEST(Hash, Fnv1aStandardVectors) {
+  EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ULL);
+}
+
+TEST(Hash, HashTableBytesArePinned) {
+  tabular::Schema schema({{"x", tabular::ColumnKind::kNumerical},
+                          {"site", tabular::ColumnKind::kCategorical},
+                          {"y", tabular::ColumnKind::kNumerical}});
+  tabular::Table table(schema);
+  const double xs[] = {0.5, -1.25, 3.0};
+  const char* sites[] = {"BNL", "CERN", "BNL"};
+  for (int i = 0; i < 3; ++i) {
+    auto row = table.make_row();
+    row.set(0, xs[i]);
+    row.set(1, std::string(sites[i]));
+    row.set(2, xs[i] * 2.0);
+    table.append_row(row);
+  }
+  // Every published output_hash / expected_hash is a sum of these.
+  EXPECT_EQ(serve::hash_table(table), 0xac9edff3adad894aULL);
 }
 
 }  // namespace
