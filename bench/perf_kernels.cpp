@@ -153,6 +153,29 @@ std::vector<KernelRow> run_kernels(const Scenario& sc,
                          static_cast<double>(sc.gemm_n);
     rows.push_back({"gemm", backend, s, flops / s / 1e9, "gflops"});
   }
+  {  // the TabDDPM denoiser's three GEMMs at the service's 16-row chunk:
+     // (16 x 122) x (122 x 256), (16 x 256) x (256 x 256), and
+     // (16 x 256) x (256 x 90) — the perfbench corpus is 90 encoded
+     // columns plus a 32-wide time embedding, hidden 256 x 256
+    constexpr std::size_t kRows = 16;
+    const std::size_t dims[][2] = {{122, 256}, {256, 256}, {256, 90}};
+    std::vector<linalg::Matrix> as, bs, outs(3);
+    double flops = 0.0;
+    for (std::size_t l = 0; l < 3; ++l) {
+      as.push_back(random_matrix(kRows, dims[l][0], 10 + l));
+      bs.push_back(random_matrix(dims[l][0], dims[l][1], 20 + l));
+      flops += 2.0 * kRows * static_cast<double>(dims[l][0] * dims[l][1]);
+    }
+    constexpr int kPasses = 64;  // one pass is a few microseconds
+    const double s = best_seconds(sc.reps, [&] {
+      for (int pass = 0; pass < kPasses; ++pass) {
+        for (std::size_t l = 0; l < 3; ++l) {
+          linalg::gemm(as[l], bs[l], outs[l]);
+        }
+      }
+    }) / kPasses;
+    rows.push_back({"gemm_m16", backend, s, flops / s / 1e9, "gflops"});
+  }
   {  // row softmax (attention/classifier head shape)
     auto m = random_matrix(sc.softmax_rows, sc.softmax_cols, 3);
     const auto pristine = m;
@@ -172,6 +195,15 @@ std::vector<KernelRow> run_kernels(const Scenario& sc,
       kern.axpy_f32(1e-4f, x.data(), y.data(), sc.vec_n);
     });
     rows.push_back({"axpy", backend, s,
+                    static_cast<double>(sc.vec_n) / s, "elems_per_sec"});
+  }
+  {  // SiLU (the TabDDPM denoiser's activation)
+    const auto x = random_matrix(1, sc.vec_n, 9);
+    std::vector<float> y(sc.vec_n);
+    const double s = best_seconds(sc.reps, [&] {
+      kern.silu_f32(x.data(), y.data(), sc.vec_n);
+    });
+    rows.push_back({"silu", backend, s,
                     static_cast<double>(sc.vec_n) / s, "elems_per_sec"});
   }
   {  // squared-L2 distances (k-NN / DCR inner loop)

@@ -50,9 +50,9 @@ void scale_f32_scalar(float a, float* x, std::size_t n) {
 }
 
 // C += A·B over a panel, i-k-j with the seed's zero-skip. Per output element
-// the accumulation order is k-ascending and the skip depends only on that
-// row's A values — the invariants every backend's micro-kernel must
-// reproduce so results cannot depend on the caller's row chunking.
+// the chain is seeded from C, k-ascending, and skips zero A values — the
+// invariants every backend's micro-kernel reproduces so results cannot
+// depend on the caller's row chunking.
 void gemm_block_f32_scalar(const float* a, std::size_t lda, const float* b,
                            std::size_t ldb, float* c, std::size_t ldc,
                            std::size_t m, std::size_t k, std::size_t n) {
@@ -95,6 +95,13 @@ void softmax_row_f32_scalar(float* row, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) row[i] /= sum;
 }
 
+void silu_f32_scalar(const float* x, float* out, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const float s = 1.0f / (1.0f + std::exp(-x[i]));
+    out[i] = x[i] * s;
+  }
+}
+
 void normalize_f64_scalar(const double* x, double shift, double denom,
                           double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = (x[i] - shift) / denom;
@@ -135,8 +142,8 @@ const Kernels kScalarKernels = {
     axpy_f32_scalar,    acc_f32_scalar,        add_f32_scalar,
     sub_f32_scalar,     mul_f32_scalar,        scale_f32_scalar,
     gemm_block_f32_scalar, dot_f32_scalar,     sq_l2_f32_scalar,
-    softmax_row_f32_scalar, normalize_f64_scalar, madd_f64_scalar,
-    interp_grid_f64_scalar, jsd_acc_f64_scalar,
+    softmax_row_f32_scalar, silu_f32_scalar,   normalize_f64_scalar,
+    madd_f64_scalar,    interp_grid_f64_scalar, jsd_acc_f64_scalar,
 };
 
 bool cpu_has_avx2_fma() noexcept {

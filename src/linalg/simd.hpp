@@ -19,8 +19,8 @@
 ///    to scalar because they perform the same correctly-rounded per-element
 ///    operations in the same order. The dot-family kernels (dot/sq_l2 and
 ///    gemm_block) use FMA and per-lane accumulators, and the transcendental
-///    kernels (softmax_row/jsd_acc) use polynomial exp/log, so their bytes
-///    may differ from scalar by a few ULP — never within a backend.
+///    kernels (softmax_row/silu/jsd_acc) use polynomial exp/log, so their
+///    bytes may differ from scalar by a few ULP — never within a backend.
 
 #include <cstddef>
 #include <string>
@@ -89,10 +89,12 @@ struct Kernels {
   // -- f32 dot family (per-backend ULP differences, fixed lane order) -----
   /// C += A * B for a row panel: A is (m,k) with row stride `lda`, B is
   /// (k,n) with stride `ldb`, C is (m,n) with stride `ldc`. Register-tiled
-  /// micro-kernel; each element's accumulation order is k-ascending and a
-  /// k-step applies iff that row's A value is nonzero, so results are
-  /// independent of how the caller chunks rows across threads. Vector
-  /// backends use FMA, so bytes may differ from scalar by a few ULP.
+  /// micro-kernel. Every output element is a chain seeded from C that, for
+  /// each nonzero A value in ascending k, accumulates a[i][p] * b[p][j]:
+  /// with std::fma on AVX2 (bitwise equal to that chain for finite
+  /// inputs), with mul-then-add on scalar and NEON. The chain depends only
+  /// on the element, so results are independent of how the caller chunks
+  /// rows across threads; AVX2 bytes may differ from scalar by a few ULP.
   void (*gemm_block_f32)(const float* a, std::size_t lda, const float* b,
                          std::size_t ldb, float* c, std::size_t ldc,
                          std::size_t m, std::size_t k, std::size_t n);
@@ -104,6 +106,8 @@ struct Kernels {
   // -- f32 transcendental (per-backend ULP differences) -------------------
   /// In-place numerically-stable softmax over row[0..n).
   void (*softmax_row_f32)(float* row, std::size_t n);
+  /// out[i] = x[i] * (1 / (1 + exp(-x[i])))  (SiLU, TabDDPM's activation).
+  void (*silu_f32)(const float* x, float* out, std::size_t n);
 
   // -- f64 elementwise (bitwise identical across backends) ----------------
   /// out[i] = (x[i] - shift) / denom  (min-max / standard scaling)

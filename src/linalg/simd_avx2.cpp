@@ -185,165 +185,103 @@ void scale_f32_avx2(float a, float* x, std::size_t n) {
   for (; i < n; ++i) x[i] *= a;
 }
 
-// Register-tiled C += A·B micro-kernel: MR=4 rows x NR=16 columns (two
-// __m256 per row, eight accumulators) with FMA. gemm_block is in the
-// documented-ULP family — its bytes may differ from the scalar backend
-// (fused multiply-add skips the intermediate rounding) — but every
-// per-element chain is fixed: k ascends, a p-step is applied iff that ROW's
-// A value is nonzero, and the column partition into 16-wide / 8-wide /
-// scalar-tail segments depends only on n. Which code path a row takes (the
-// 4-row tile vs the m-tail below) therefore cannot change its result, so
-// the caller's thread chunking — which decides exactly that — cannot
-// change the output bytes.
-void gemm_block_f32_avx2(const float* a, std::size_t lda, const float* b,
-                         std::size_t ldb, float* c, std::size_t ldc,
-                         std::size_t m, std::size_t k, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const float* a0 = a + i * lda;
-    const float* a1 = a0 + lda;
-    const float* a2 = a1 + lda;
-    const float* a3 = a2 + lda;
-    float* c0 = c + i * ldc;
-    float* c1 = c0 + ldc;
-    float* c2 = c1 + ldc;
-    float* c3 = c2 + ldc;
-    std::size_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      __m256 acc0a = _mm256_loadu_ps(c0 + j);
-      __m256 acc0b = _mm256_loadu_ps(c0 + j + 8);
-      __m256 acc1a = _mm256_loadu_ps(c1 + j);
-      __m256 acc1b = _mm256_loadu_ps(c1 + j + 8);
-      __m256 acc2a = _mm256_loadu_ps(c2 + j);
-      __m256 acc2b = _mm256_loadu_ps(c2 + j + 8);
-      __m256 acc3a = _mm256_loadu_ps(c3 + j);
-      __m256 acc3b = _mm256_loadu_ps(c3 + j + 8);
-      for (std::size_t p = 0; p < k; ++p) {
-        const float av0 = a0[p];
-        const float av1 = a1[p];
-        const float av2 = a2[p];
-        const float av3 = a3[p];
-        if (av0 == 0.0f && av1 == 0.0f && av2 == 0.0f && av3 == 0.0f)
-          continue;
-        const __m256 bva = _mm256_loadu_ps(b + p * ldb + j);
-        const __m256 bvb = _mm256_loadu_ps(b + p * ldb + j + 8);
-        // Per-row skip keeps a row's chain independent of how rows were
-        // grouped into tiles — i.e. of the caller's thread chunking — and
-        // preserves the sparsity win on one-hot-encoded inputs.
-        if (av0 != 0.0f) {
-          const __m256 va = _mm256_set1_ps(av0);
-          acc0a = _mm256_fmadd_ps(va, bva, acc0a);
-          acc0b = _mm256_fmadd_ps(va, bvb, acc0b);
-        }
-        if (av1 != 0.0f) {
-          const __m256 va = _mm256_set1_ps(av1);
-          acc1a = _mm256_fmadd_ps(va, bva, acc1a);
-          acc1b = _mm256_fmadd_ps(va, bvb, acc1b);
-        }
-        if (av2 != 0.0f) {
-          const __m256 va = _mm256_set1_ps(av2);
-          acc2a = _mm256_fmadd_ps(va, bva, acc2a);
-          acc2b = _mm256_fmadd_ps(va, bvb, acc2b);
-        }
-        if (av3 != 0.0f) {
-          const __m256 va = _mm256_set1_ps(av3);
-          acc3a = _mm256_fmadd_ps(va, bva, acc3a);
-          acc3b = _mm256_fmadd_ps(va, bvb, acc3b);
-        }
-      }
-      _mm256_storeu_ps(c0 + j, acc0a);
-      _mm256_storeu_ps(c0 + j + 8, acc0b);
-      _mm256_storeu_ps(c1 + j, acc1a);
-      _mm256_storeu_ps(c1 + j + 8, acc1b);
-      _mm256_storeu_ps(c2 + j, acc2a);
-      _mm256_storeu_ps(c2 + j + 8, acc2b);
-      _mm256_storeu_ps(c3 + j, acc3a);
-      _mm256_storeu_ps(c3 + j + 8, acc3b);
-    }
-    for (; j + 8 <= n; j += 8) {
-      __m256 acc0 = _mm256_loadu_ps(c0 + j);
-      __m256 acc1 = _mm256_loadu_ps(c1 + j);
-      __m256 acc2 = _mm256_loadu_ps(c2 + j);
-      __m256 acc3 = _mm256_loadu_ps(c3 + j);
-      for (std::size_t p = 0; p < k; ++p) {
-        const float av0 = a0[p];
-        const float av1 = a1[p];
-        const float av2 = a2[p];
-        const float av3 = a3[p];
-        if (av0 == 0.0f && av1 == 0.0f && av2 == 0.0f && av3 == 0.0f)
-          continue;
-        const __m256 bv = _mm256_loadu_ps(b + p * ldb + j);
-        if (av0 != 0.0f)
-          acc0 = _mm256_fmadd_ps(_mm256_set1_ps(av0), bv, acc0);
-        if (av1 != 0.0f)
-          acc1 = _mm256_fmadd_ps(_mm256_set1_ps(av1), bv, acc1);
-        if (av2 != 0.0f)
-          acc2 = _mm256_fmadd_ps(_mm256_set1_ps(av2), bv, acc2);
-        if (av3 != 0.0f)
-          acc3 = _mm256_fmadd_ps(_mm256_set1_ps(av3), bv, acc3);
-      }
-      _mm256_storeu_ps(c0 + j, acc0);
-      _mm256_storeu_ps(c1 + j, acc1);
-      _mm256_storeu_ps(c2 + j, acc2);
-      _mm256_storeu_ps(c3 + j, acc3);
-    }
-    if (j < n) {
-      // Scalar column tail: single-element FMA so the chain matches the
-      // m-tail's scalar tail below exactly.
-      for (std::size_t r = 0; r < 4; ++r) {
-        const float* ar = a + (i + r) * lda;
-        float* cr = c + (i + r) * ldc;
-        for (std::size_t p = 0; p < k; ++p) {
-          const float av = ar[p];
-          if (av == 0.0f) continue;
-          const float* br = b + p * ldb;
-          for (std::size_t jj = j; jj < n; ++jj) {
-            cr[jj] = __builtin_fmaf(av, br[jj], cr[jj]);
-          }
-        }
+// Register-tiled C += A·B in the BLIS Haswell shape (Van Zee & van de Geijn,
+// ACM TOMS 2015): MR=6 rows x NR=16 columns, twelve __m256 accumulators
+// seeded from C, plus 4- and 1-row tiles for the m remainder and 8-wide then
+// masked 1..7-wide column blocks for the n remainder. The k loop is
+// branch-free: every row takes the FMA at every k-step. With finite inputs
+// a zero A value adds +-0 to the accumulator, which leaves it unchanged
+// unless the accumulator is -0 — reachable only from a -0 seed, and
+// linalg::gemm seeds C with +0 — so every output element is the C-seeded
+// chain acc = fma(a[i][p], b[p][j], acc) over the nonzero a[i][p] in
+// ascending p: bitwise equal to std::fma applied that way, whatever tile,
+// column block or caller row chunk the element lands in. That is what keeps
+// the output independent of thread chunking.
+// There is no zero-skip: testing a tile's A values costs MR loads and a
+// branch per k-step, which measured slower on the TabDDPM denoiser, where
+// only the one-hot input layer has zeros to skip.
+template <int MR, int NV, bool kMasked>
+inline void gemm_tile(const float* a, std::size_t lda, const float* b,
+                      std::size_t ldb, float* c, std::size_t ldc,
+                      std::size_t k, __m256i tail) {
+  const auto load = [tail](const float* p, int v) {
+    return kMasked && v == NV - 1 ? _mm256_maskload_ps(p, tail)
+                                  : _mm256_loadu_ps(p);
+  };
+  __m256 acc[MR][NV];
+#pragma GCC unroll 8
+  for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) acc[r][v] = load(c + r * ldc + 8 * v, v);
+  }
+  for (std::size_t p = 0; p < k; ++p) {
+    const float* ap = a + p;
+    const float* bp = b + p * ldb;
+    __m256 bv[NV];
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) bv[v] = load(bp + 8 * v, v);
+#pragma GCC unroll 8
+    for (int r = 0; r < MR; ++r) {
+      const __m256 av = _mm256_broadcast_ss(ap + r * lda);
+#pragma GCC unroll 2
+      for (int v = 0; v < NV; ++v) {
+        acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
       }
     }
   }
-  // m-tail: one row at a time, with the same column partition and the same
-  // per-element chains as the tiled path above.
+#pragma GCC unroll 8
+  for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) {
+      float* cp = c + r * ldc + 8 * v;
+      if (kMasked && v == NV - 1) {
+        _mm256_maskstore_ps(cp, tail, acc[r][v]);
+      } else {
+        _mm256_storeu_ps(cp, acc[r][v]);
+      }
+    }
+  }
+}
+
+// One column block (16, 8 or masked <8 wide) over all m rows: 6-row tiles,
+// then 4-row, then single rows. The block's B panel (k x 16 floats) stays
+// in L1 while the row tiles stream over it.
+template <int NV, bool kMasked>
+inline void gemm_column_block(const float* a, std::size_t lda, const float* b,
+                              std::size_t ldb, float* c, std::size_t ldc,
+                              std::size_t m, std::size_t k, __m256i tail) {
+  std::size_t i = 0;
+  for (; i + 6 <= m; i += 6) {
+    gemm_tile<6, NV, kMasked>(a + i * lda, lda, b, ldb, c + i * ldc, ldc, k,
+                              tail);
+  }
+  for (; i + 4 <= m; i += 4) {
+    gemm_tile<4, NV, kMasked>(a + i * lda, lda, b, ldb, c + i * ldc, ldc, k,
+                              tail);
+  }
   for (; i < m; ++i) {
-    const float* ar = a + i * lda;
-    float* cr = c + i * ldc;
-    std::size_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      __m256 acca = _mm256_loadu_ps(cr + j);
-      __m256 accb = _mm256_loadu_ps(cr + j + 8);
-      for (std::size_t p = 0; p < k; ++p) {
-        const float av = ar[p];
-        if (av == 0.0f) continue;
-        const __m256 va = _mm256_set1_ps(av);
-        acca = _mm256_fmadd_ps(va, _mm256_loadu_ps(b + p * ldb + j), acca);
-        accb = _mm256_fmadd_ps(va, _mm256_loadu_ps(b + p * ldb + j + 8),
-                               accb);
-      }
-      _mm256_storeu_ps(cr + j, acca);
-      _mm256_storeu_ps(cr + j + 8, accb);
-    }
-    for (; j + 8 <= n; j += 8) {
-      __m256 acc = _mm256_loadu_ps(cr + j);
-      for (std::size_t p = 0; p < k; ++p) {
-        const float av = ar[p];
-        if (av == 0.0f) continue;
-        acc = _mm256_fmadd_ps(_mm256_set1_ps(av),
-                              _mm256_loadu_ps(b + p * ldb + j), acc);
-      }
-      _mm256_storeu_ps(cr + j, acc);
-    }
-    if (j < n) {
-      for (std::size_t p = 0; p < k; ++p) {
-        const float av = ar[p];
-        if (av == 0.0f) continue;
-        const float* br = b + p * ldb;
-        for (std::size_t jj = j; jj < n; ++jj) {
-          cr[jj] = __builtin_fmaf(av, br[jj], cr[jj]);
-        }
-      }
-    }
+    gemm_tile<1, NV, kMasked>(a + i * lda, lda, b, ldb, c + i * ldc, ldc, k,
+                              tail);
+  }
+}
+
+void gemm_block_f32_avx2(const float* a, std::size_t lda, const float* b,
+                         std::size_t ldb, float* c, std::size_t ldc,
+                         std::size_t m, std::size_t k, std::size_t n) {
+  const __m256i none = _mm256_setzero_si256();
+  std::size_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    gemm_column_block<2, false>(a, lda, b + j, ldb, c + j, ldc, m, k, none);
+  }
+  if (j + 8 <= n) {
+    gemm_column_block<1, false>(a, lda, b + j, ldb, c + j, ldc, m, k, none);
+    j += 8;
+  }
+  if (j < n) {
+    const __m256i tail =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n - j)),
+                           _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    gemm_column_block<1, true>(a, lda, b + j, ldb, c + j, ldc, m, k, tail);
   }
 }
 
@@ -417,6 +355,27 @@ void softmax_row_f32_avx2(float* row, std::size_t n) {
                      _mm256_div_ps(_mm256_loadu_ps(row + i), vsumb));
   }
   for (; i < n; ++i) row[i] /= sum;
+}
+
+// Polynomial exp on every element, the ragged tail through a masked load,
+// so an element's bytes never depend on its position in the array.
+void silu_f32_avx2(const float* x, float* out, std::size_t n) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 sign = _mm256_set1_ps(-0.0f);
+  const auto silu = [&](__m256 v) {
+    const __m256 e = exp256_ps(_mm256_xor_ps(v, sign));
+    return _mm256_mul_ps(v, _mm256_div_ps(one, _mm256_add_ps(one, e)));
+  };
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(out + i, silu(_mm256_loadu_ps(x + i)));
+  }
+  if (i < n) {
+    const __m256i tail =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n - i)),
+                           _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    _mm256_maskstore_ps(out + i, tail, silu(_mm256_maskload_ps(x + i, tail)));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -526,8 +485,8 @@ const Kernels kAvx2Kernels = {
     axpy_f32_avx2,        acc_f32_avx2,        add_f32_avx2,
     sub_f32_avx2,         mul_f32_avx2,        scale_f32_avx2,
     gemm_block_f32_avx2,  dot_f32_avx2,        sq_l2_f32_avx2,
-    softmax_row_f32_avx2, normalize_f64_avx2,  madd_f64_avx2,
-    interp_grid_f64_avx2, jsd_acc_f64_avx2,
+    softmax_row_f32_avx2, silu_f32_avx2,       normalize_f64_avx2,
+    madd_f64_avx2,        interp_grid_f64_avx2, jsd_acc_f64_avx2,
 };
 
 }  // namespace

@@ -1,8 +1,8 @@
 // NEON kernel backend (aarch64). Arithmetic kernels use 4 x f32 / 2 x f64
 // lanes with explicit mul-then-add so the axpy family stays bitwise
 // identical to the scalar backend; the transcendental kernels
-// (softmax_row / jsd_acc) and the gather-style interp_grid alias the same
-// portable loops as the scalar table — NEON has no gather, and a
+// (softmax_row / silu / jsd_acc) and the gather-style interp_grid alias
+// the same portable loops as the scalar table — NEON has no gather, and a
 // polynomial exp/log port buys little on the matrix sizes this repo runs.
 // This translation unit compiles to the nullptr stub on non-ARM targets.
 #include "linalg/simd.hpp"
@@ -68,7 +68,7 @@ void scale_f32_neon(float a, float* x, std::size_t n) {
 }
 
 // MR=4 x NR=4 register tile, accumulators seeded from C, k-ascending per
-// element — same bitwise contract as the scalar/AVX2 micro-kernels.
+// element with mul-then-add — the same chains as the scalar micro-kernel.
 void gemm_block_f32_neon(const float* a, std::size_t lda, const float* b,
                          std::size_t ldb, float* c, std::size_t ldc,
                          std::size_t m, std::size_t k, std::size_t n) {
@@ -186,6 +186,14 @@ void softmax_row_f32_neon(float* row, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) row[i] /= sum;
 }
 
+void silu_f32_neon(const float* x, float* out, std::size_t n) {
+  // Portable loop, like softmax_row above: same bytes as the scalar table.
+  for (std::size_t i = 0; i < n; ++i) {
+    const float s = 1.0f / (1.0f + std::exp(-x[i]));
+    out[i] = x[i] * s;
+  }
+}
+
 void normalize_f64_neon(const double* x, double shift, double denom,
                         double* out, std::size_t n) {
   const float64x2_t vs = vdupq_n_f64(shift);
@@ -240,8 +248,8 @@ const Kernels kNeonKernels = {
     axpy_f32_neon,        acc_f32_neon,        add_f32_neon,
     sub_f32_neon,         mul_f32_neon,        scale_f32_neon,
     gemm_block_f32_neon,  dot_f32_neon,        sq_l2_f32_neon,
-    softmax_row_f32_neon, normalize_f64_neon,  madd_f64_neon,
-    interp_grid_f64_neon, jsd_acc_f64_neon,
+    softmax_row_f32_neon, silu_f32_neon,       normalize_f64_neon,
+    madd_f64_neon,        interp_grid_f64_neon, jsd_acc_f64_neon,
 };
 
 }  // namespace

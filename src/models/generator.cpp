@@ -67,8 +67,8 @@ void TabularGenerator::sample_into(tabular::Table& out,
   } else {
     // Worker w owns chunks w, w+threads, w+2*threads, ... — the partition
     // and the per-chunk seeds are thread-count-independent, so so is the
-    // output. Models that sample through shared mutable buffers (the
-    // neural forward passes) get one fitted replica per worker, cloned
+    // output. Models that sample through shared mutable buffers (the TVAE
+    // and CTABGAN+ forward passes) get one fitted replica per worker, cloned
     // inside the worker task so replica construction itself runs in
     // parallel (save() only reads fitted state, so concurrent clones of
     // one source are safe); read-only samplers share this instance and

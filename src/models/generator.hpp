@@ -175,7 +175,7 @@ class TabularGenerator {
   /// True when sample_chunk() only reads shared state, letting sample_into
   /// run chunks concurrently on this instance instead of paying for
   /// per-worker clones. Models whose forward passes reuse internal buffers
-  /// (the neural ones) keep the default false.
+  /// (TVAE, CTABGAN+) keep the default false.
   [[nodiscard]] virtual bool concurrent_sampling() const noexcept {
     return false;
   }

@@ -18,8 +18,7 @@ TabDdpm::TabDdpm(TabDdpmConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
   }
 }
 
-void TabDdpm::embed_time(std::size_t t, linalg::Matrix& out, std::size_t row,
-                         std::size_t offset) const {
+void TabDdpm::embed_time(std::size_t t, float* out) const {
   // Transformer-style sinusoidal embedding of the (normalized) timestep.
   const std::size_t half = cfg_.time_embed_dim / 2;
   const double pos = static_cast<double>(t);
@@ -27,9 +26,10 @@ void TabDdpm::embed_time(std::size_t t, linalg::Matrix& out, std::size_t row,
     const double freq =
         std::exp(-std::log(10000.0) * static_cast<double>(k) /
                  static_cast<double>(std::max<std::size_t>(half - 1, 1)));
-    out(row, offset + k) = static_cast<float>(std::sin(pos * freq));
-    out(row, offset + half + k) = static_cast<float>(std::cos(pos * freq));
+    out[k] = static_cast<float>(std::sin(pos * freq));
+    out[half + k] = static_cast<float>(std::cos(pos * freq));
   }
+  if (cfg_.time_embed_dim % 2 != 0) out[2 * half] = 0.0f;
 }
 
 void TabDdpm::build_schedule() {
@@ -153,7 +153,7 @@ void TabDdpm::train_epochs(const linalg::Matrix& data, std::size_t epochs,
           }
           input(r, b.offset + cat) = 1.0f;
         }
-        embed_time(t, input, r, width);
+        embed_time(t, input.data() + r * in_dim + width);
       }
 
       const linalg::Matrix& out = net_.forward(input, /*train=*/true);
@@ -210,9 +210,13 @@ tabular::Table TabDdpm::sample_chunk(std::size_t n, std::uint64_t seed) {
   const std::size_t T = cfg_.timesteps;
   const std::size_t chunk = 1024;
 
+  const std::size_t in_dim = width + cfg_.time_embed_dim;
+
   tabular::Table out_table = encoder_.make_empty_table();
   linalg::Matrix x(chunk, width);          // current state (num + one-hot)
-  linalg::Matrix input(chunk, width + cfg_.time_embed_dim);
+  linalg::Matrix input;
+  std::vector<linalg::Matrix> scratch;     // this call's denoiser buffers
+  std::vector<float> temb(cfg_.time_embed_dim);
   std::vector<double> post;
 
   for (std::size_t off = 0; off < n; off += chunk) {
@@ -231,15 +235,16 @@ tabular::Table TabDdpm::sample_chunk(std::size_t n, std::uint64_t seed) {
       }
     }
 
+    input.resize(cur, in_dim);
     for (std::size_t t = T; t >= 1; --t) {
-      input.resize(cur, width + cfg_.time_embed_dim);
-      input.zero();
+      // The embedding is the same for every row of a step: compute it once.
+      embed_time(t, temb.data());
       for (std::size_t r = 0; r < cur; ++r) {
-        std::copy_n(x.data() + r * width, width,
-                    input.data() + r * input.cols());
-        embed_time(t, input, r, width);
+        float* row = input.data() + r * in_dim;
+        std::copy_n(x.data() + r * width, width, row);
+        std::copy(temb.begin(), temb.end(), row + width);
       }
-      const linalg::Matrix& pred = net_.forward(input, /*train=*/false);
+      const linalg::Matrix& pred = net_.infer(input, scratch);
 
       const double ab_t = alpha_bar_[t];
       const double ab_prev = alpha_bar_[t - 1];
@@ -325,9 +330,12 @@ std::vector<double> TabDdpm::anomaly_scores(const tabular::Table& rows,
   const std::size_t m = encoder_.num_numerical();
   const std::size_t T = cfg_.timesteps;
 
+  const std::size_t in_dim = width + cfg_.time_embed_dim;
+
   std::vector<double> scores(n, 0.0);
-  linalg::Matrix input(n, width + cfg_.time_embed_dim);
+  linalg::Matrix input(n, in_dim);
   linalg::Matrix eps(n, m);
+  std::vector<float> temb(cfg_.time_embed_dim);
 
   // Probe at evenly spaced mid-range timesteps: very small t is trivial to
   // denoise, very large t destroys all signal; the informative band is the
@@ -338,6 +346,7 @@ std::vector<double> TabDdpm::anomaly_scores(const tabular::Table& rows,
     const double ab = alpha_bar_[t];
     const double sab = std::sqrt(ab);
     const double somb = std::sqrt(1.0 - ab);
+    embed_time(t, temb.data());
     for (std::size_t d = 0; d < draws; ++d) {
       input.zero();
       for (std::size_t r = 0; r < n; ++r) {
@@ -361,7 +370,7 @@ std::vector<double> TabDdpm::anomaly_scores(const tabular::Table& rows,
           }
           input(r, b.offset + cat) = 1.0f;
         }
-        embed_time(t, input, r, width);
+        std::copy(temb.begin(), temb.end(), input.data() + r * in_dim + width);
       }
       const linalg::Matrix& pred = net_.forward(input, /*train=*/false);
       for (std::size_t r = 0; r < n; ++r) {

@@ -56,6 +56,11 @@ class TabDdpm final : public TabularGenerator {
   void save(std::ostream& os) const override;
   void load(std::istream& is) override;
   [[nodiscard]] std::unique_ptr<TabularGenerator> clone() const override;
+  /// sample_chunk() runs the denoiser through Mlp::infer with per-call
+  /// scratch, so concurrent chunks share this instance.
+  [[nodiscard]] bool concurrent_sampling() const noexcept override {
+    return true;
+  }
 
   [[nodiscard]] float last_epoch_loss() const noexcept {
     return last_epoch_loss_;
@@ -75,9 +80,9 @@ class TabDdpm final : public TabularGenerator {
       std::size_t draws = 4, std::uint64_t seed = 97);
 
  private:
-  /// Write the sinusoidal embedding of timestep t into out[row, offset..).
-  void embed_time(std::size_t t, linalg::Matrix& out, std::size_t row,
-                  std::size_t offset) const;
+  /// Write the sinusoidal embedding of timestep t into
+  /// out[0, time_embed_dim).
+  void embed_time(std::size_t t, float* out) const;
 
   /// (Re)compute the cosine beta/alpha schedule from cfg_.timesteps — a
   /// pure function of the config, shared by fit() and load().

@@ -91,7 +91,7 @@ void HttpServer::start() {
     stopping_ = false;
   }
   pool_ = std::make_unique<util::ThreadPool>(cfg_.worker_threads);
-  acceptor_ = std::thread([this] { accept_loop(); });
+  acceptor_ = std::thread([this, fd = listen_fd_] { accept_loop(fd); });
   started_ = true;
 }
 
@@ -104,12 +104,14 @@ void HttpServer::stop() {
     // drop out of their keep-alive loops.
     for (const int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
   }
-  // Closing the listener fails the blocking accept() with EBADF/EINVAL,
-  // which the accept loop treats as the stop signal.
+  // Shutting the listener down fails the blocking accept() with EINVAL,
+  // which the accept loop treats as the stop signal. The fd is closed only
+  // after the join, so the acceptor can never accept() on a closed fd or
+  // on one the process has already reused.
   ::shutdown(listen_fd_, SHUT_RDWR);
+  if (acceptor_.joinable()) acceptor_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (acceptor_.joinable()) acceptor_.join();
   pool_.reset();  // joins connection workers (they drain promptly)
   started_ = false;
 }
@@ -123,12 +125,12 @@ ServerStats HttpServer::stats() const {
   return out;
 }
 
-void HttpServer::accept_loop() {
+void HttpServer::accept_loop(int listen_fd) {
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
-      return;  // listener closed: stop() was called
+      return;  // listener shut down: stop() was called
     }
     {
       const std::lock_guard<std::mutex> lock(mutex_);

@@ -18,6 +18,7 @@
 // what the tests, the soak socket mode, and the benches use to avoid
 // collisions.
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -83,16 +84,18 @@ class HttpServer {
   [[nodiscard]] ServerStats stats() const;
 
  private:
-  void accept_loop();
+  /// Runs on acceptor_ until `listen_fd` is shut down. The fd arrives by
+  /// value: stop() closes it only after joining this loop.
+  void accept_loop(int listen_fd);
   void serve_connection(int fd);
   /// send() the whole buffer, tolerating partial writes. False on error.
   static bool send_all(int fd, std::string_view data);
 
   ServerConfig cfg_;
   Handler handler_;
-  int listen_fd_ = -1;
+  int listen_fd_ = -1;  // owned by start()/stop(); never read by acceptor_
   std::uint16_t port_ = 0;
-  bool started_ = false;
+  std::atomic<bool> started_{false};
 
   mutable std::mutex mutex_;
   std::set<int> open_fds_;  // shutdown() targets for stop()

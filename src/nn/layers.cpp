@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "linalg/simd.hpp"
 #include "nn/init.hpp"
 #include "util/serialize.hpp"
 
@@ -87,8 +88,12 @@ Linear::Linear(std::size_t in_dim, std::size_t out_dim, util::Rng& rng,
 
 void Linear::forward(const linalg::Matrix& in, linalg::Matrix& out,
                      bool /*train*/) {
-  assert(in.cols() == in_dim_);
   cached_in_ = in;
+  infer(in, out);
+}
+
+void Linear::infer(const linalg::Matrix& in, linalg::Matrix& out) const {
+  assert(in.cols() == in_dim_);
   linalg::gemm(in, w_.value, out);
   linalg::add_row_vector(out, b_.value.flat());
 }
@@ -133,6 +138,11 @@ std::string ActivationLayer::name() const {
 void ActivationLayer::forward(const linalg::Matrix& in, linalg::Matrix& out,
                               bool /*train*/) {
   cached_in_ = in;
+  infer(in, out);
+}
+
+void ActivationLayer::infer(const linalg::Matrix& in,
+                            linalg::Matrix& out) const {
   if (out.rows() != in.rows() || out.cols() != in.cols()) {
     out.resize(in.rows(), in.cols());
   }
@@ -157,10 +167,7 @@ void ActivationLayer::forward(const linalg::Matrix& in, linalg::Matrix& out,
       }
       break;
     case Activation::kSiLU:
-      for (std::size_t i = 0; i < n; ++i) {
-        const float s = 1.0f / (1.0f + std::exp(-pi[i]));
-        po[i] = pi[i] * s;
-      }
+      linalg::simd::kernels().silu_f32(pi, po, n);
       break;
   }
 }
@@ -235,7 +242,7 @@ void Dropout::forward(const linalg::Matrix& in, linalg::Matrix& out,
                       bool train) {
   last_train_ = train && p_ > 0.0f;
   if (!last_train_) {
-    out = in;
+    infer(in, out);
     return;
   }
   if (out.rows() != in.rows() || out.cols() != in.cols()) {
@@ -252,6 +259,10 @@ void Dropout::forward(const linalg::Matrix& in, linalg::Matrix& out,
     pm[i] = keep_it ? scl : 0.0f;
     po[i] = pi[i] * pm[i];
   }
+}
+
+void Dropout::infer(const linalg::Matrix& in, linalg::Matrix& out) const {
+  out = in;
 }
 
 void Dropout::backward(const linalg::Matrix& grad_out,
@@ -283,11 +294,20 @@ void LayerNorm::save(std::ostream& os) const {
 
 void LayerNorm::forward(const linalg::Matrix& in, linalg::Matrix& out,
                         bool /*train*/) {
+  cached_norm_.resize(in.rows(), dim_);
+  inv_std_.assign(in.rows(), 0.0f);
+  normalize(in, out, cached_norm_.data(), inv_std_.data());
+}
+
+void LayerNorm::infer(const linalg::Matrix& in, linalg::Matrix& out) const {
+  normalize(in, out, nullptr, nullptr);
+}
+
+void LayerNorm::normalize(const linalg::Matrix& in, linalg::Matrix& out,
+                          float* norm_cache, float* inv_cache) const {
   assert(in.cols() == dim_);
   const std::size_t rows = in.rows();
   if (out.rows() != rows || out.cols() != dim_) out.resize(rows, dim_);
-  cached_norm_.resize(rows, dim_);
-  inv_std_.assign(rows, 0.0f);
   for (std::size_t r = 0; r < rows; ++r) {
     const float* x = in.data() + r * dim_;
     float mean = 0.0f;
@@ -300,12 +320,12 @@ void LayerNorm::forward(const linalg::Matrix& in, linalg::Matrix& out,
     }
     var /= static_cast<float>(dim_);
     const float inv = 1.0f / std::sqrt(var + eps_);
-    inv_std_[r] = inv;
-    float* nrm = cached_norm_.data() + r * dim_;
+    if (inv_cache != nullptr) inv_cache[r] = inv;
     float* o = out.data() + r * dim_;
     for (std::size_t j = 0; j < dim_; ++j) {
-      nrm[j] = (x[j] - mean) * inv;
-      o[j] = nrm[j] * gamma_.value(0, j) + beta_.value(0, j);
+      const float nrm = (x[j] - mean) * inv;
+      if (norm_cache != nullptr) norm_cache[r * dim_ + j] = nrm;
+      o[j] = nrm * gamma_.value(0, j) + beta_.value(0, j);
     }
   }
 }

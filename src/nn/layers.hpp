@@ -2,6 +2,8 @@
 // Layers with exact manual reverse-mode gradients. Each layer caches what its
 // backward pass needs during forward; backward() must be called with the same
 // batch that was last forwarded (the MLP container enforces this pairing).
+// infer() is the same computation without the caches: it only reads the
+// layer, so any number of threads may run it on one layer at once.
 //
 // Gradients ACCUMULATE into the parameter .grad buffers; optimizers zero them
 // after each step. That makes multi-head models (e.g. the VAE's mu/logvar
@@ -34,9 +36,13 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Compute out = f(in). `train` enables dropout noise etc.
+  /// Compute out = f(in) and cache what backward() needs. `train` enables
+  /// dropout noise etc.
   virtual void forward(const linalg::Matrix& in, linalg::Matrix& out,
                        bool train) = 0;
+  /// Compute out = f(in) at inference (dropout is the identity) without
+  /// touching the layer: the bytes of forward(train=false), no caches.
+  virtual void infer(const linalg::Matrix& in, linalg::Matrix& out) const = 0;
   /// Given dL/dout, accumulate parameter grads and compute dL/din.
   virtual void backward(const linalg::Matrix& grad_out,
                         linalg::Matrix& grad_in) = 0;
@@ -62,6 +68,7 @@ class Linear final : public Layer {
 
   void forward(const linalg::Matrix& in, linalg::Matrix& out,
                bool train) override;
+  void infer(const linalg::Matrix& in, linalg::Matrix& out) const override;
   void backward(const linalg::Matrix& grad_out,
                 linalg::Matrix& grad_in) override;
   std::vector<Param*> params() override { return {&w_, &b_}; }
@@ -89,6 +96,7 @@ class ActivationLayer final : public Layer {
 
   void forward(const linalg::Matrix& in, linalg::Matrix& out,
                bool train) override;
+  void infer(const linalg::Matrix& in, linalg::Matrix& out) const override;
   void backward(const linalg::Matrix& grad_out,
                 linalg::Matrix& grad_in) override;
   [[nodiscard]] std::string name() const override;
@@ -111,6 +119,7 @@ class Dropout final : public Layer {
 
   void forward(const linalg::Matrix& in, linalg::Matrix& out,
                bool train) override;
+  void infer(const linalg::Matrix& in, linalg::Matrix& out) const override;
   void backward(const linalg::Matrix& grad_out,
                 linalg::Matrix& grad_in) override;
   [[nodiscard]] std::string name() const override { return "Dropout"; }
@@ -132,6 +141,7 @@ class LayerNorm final : public Layer {
 
   void forward(const linalg::Matrix& in, linalg::Matrix& out,
                bool train) override;
+  void infer(const linalg::Matrix& in, linalg::Matrix& out) const override;
   void backward(const linalg::Matrix& grad_out,
                 linalg::Matrix& grad_in) override;
   std::vector<Param*> params() override { return {&gamma_, &beta_}; }
@@ -139,6 +149,11 @@ class LayerNorm final : public Layer {
   void save(std::ostream& os) const override;
 
  private:
+  /// out = gamma * (in - mean) / std + beta per row; the caches (rows x
+  /// dim normalized values, per-row 1/std) are filled when non-null.
+  void normalize(const linalg::Matrix& in, linalg::Matrix& out,
+                 float* norm_cache, float* inv_cache) const;
+
   std::size_t dim_;
   float eps_;
   Param gamma_;

@@ -32,17 +32,35 @@ Mlp& Mlp::layer_norm(std::size_t dim) {
 }
 
 const linalg::Matrix& Mlp::forward(const linalg::Matrix& in, bool train) {
+  backward_ready_ = false;
+  if (!train) return infer(in, acts_);
   if (layers_.empty()) throw std::logic_error("mlp: empty network");
   const linalg::Matrix* cur = &in;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     layers_[i]->forward(*cur, acts_[i], train);
     cur = &acts_[i];
   }
+  backward_ready_ = true;
   return acts_.back();
+}
+
+const linalg::Matrix& Mlp::infer(const linalg::Matrix& in,
+                                 std::vector<linalg::Matrix>& scratch) const {
+  if (layers_.empty()) throw std::logic_error("mlp: empty network");
+  scratch.resize(layers_.size());
+  const linalg::Matrix* cur = &in;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    layers_[i]->infer(*cur, scratch[i]);
+    cur = &scratch[i];
+  }
+  return scratch.back();
 }
 
 const linalg::Matrix& Mlp::backward(const linalg::Matrix& grad_out) {
   if (layers_.empty()) throw std::logic_error("mlp: empty network");
+  if (!backward_ready_) {
+    throw std::logic_error("mlp: backward without a training forward");
+  }
   const linalg::Matrix* cur = &grad_out;
   for (std::size_t i = layers_.size(); i-- > 0;) {
     layers_[i]->backward(*cur, grads_[i]);

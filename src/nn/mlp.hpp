@@ -34,10 +34,20 @@ class Mlp {
   }
 
   /// Forward through every layer; the returned reference stays valid until
-  /// the next forward call.
+  /// the next forward call. forward(in, false) is infer() into this
+  /// network's own buffers: it caches nothing, so backward() needs a
+  /// preceding forward(in, true).
   const linalg::Matrix& forward(const linalg::Matrix& in, bool train);
 
+  /// Inference through every layer into caller-owned `scratch` (one
+  /// activation buffer per layer, resized as needed). Reads the network
+  /// only, so threads that each own their scratch can share one Mlp. The
+  /// returned reference points into `scratch`.
+  const linalg::Matrix& infer(const linalg::Matrix& in,
+                              std::vector<linalg::Matrix>& scratch) const;
+
   /// Backward from dL/d(output); returns dL/d(input) (valid until next call).
+  /// Throws std::logic_error unless the last forward was a training one.
   const linalg::Matrix& backward(const linalg::Matrix& grad_out);
 
   /// All trainable parameters, in layer order.
@@ -52,6 +62,7 @@ class Mlp {
   std::vector<std::unique_ptr<Layer>> layers_;
   std::vector<linalg::Matrix> acts_;   // acts_[i] = output of layer i
   std::vector<linalg::Matrix> grads_;  // grads_[i] = dL/d(input of layer i)
+  bool backward_ready_ = false;        // last forward cached for backward
 };
 
 /// Standard body builder: [Linear -> act] * depth with given hidden sizes,

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -139,12 +143,12 @@ TEST(SimdKernels, AxpyFamilyBitwise) {
 // agreement with scalar is close-with-tolerance, not bitwise. What IS
 // bitwise is thread-chunk independence, checked below: splitting the same
 // row panel at any tile-misaligned boundary must reproduce the unsplit
-// bytes exactly (the m-tail and the 4-row tile compute identical chains).
+// bytes exactly (every row tile and column block computes the same chains).
 TEST(SimdKernels, GemmBlockCloseToScalarAndChunkInvariant) {
   const Kernels& ref = kernels_for(Backend::kScalar);
   util::Rng rng(23);
-  const std::size_t ms[] = {1, 3, 4, 5, 9};
-  const std::size_t ns[] = {1, 7, 8, 9, 17, 33};
+  const std::size_t ms[] = {1, 3, 4, 5, 6, 7, 9, 10, 12, 16};
+  const std::size_t ns[] = {1, 7, 8, 9, 17, 33, 90};
   const std::size_t ks[] = {1, 5, 64};
   for (const Backend backend : vector_backends()) {
     const Kernels& kern = kernels_for(backend);
@@ -248,6 +252,126 @@ TEST(SimdKernels, InterpGridBitwise) {
 }
 
 // ------------------------------- dot/transcendental: documented-ULP classes
+
+// The reference chain of one gemm_block element: seeded from C, one step
+// per nonzero A value in ascending k, fused (std::fma) or mul-then-add.
+void gemm_chain_reference(const float* a, const float* b, float* c,
+                          std::size_t m, std::size_t k, std::size_t n,
+                          bool fused) {
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float acc = c[i * n + j];
+      for (std::size_t p = 0; p < k; ++p) {
+        const float av = a[i * k + p];
+        if (av == 0.0f) continue;
+        acc = fused ? std::fma(av, b[p * n + j], acc)
+                    : acc + av * b[p * n + j];
+      }
+      c[i * n + j] = acc;
+    }
+  }
+}
+
+// Pins gemm_block's bytes, not just its closeness: AVX2 must equal the
+// std::fma chain exactly, and NEON (mul-then-add lanes) the unfused chain.
+// m = 1..16 covers every mix of the 6-, 4- and 1-row tiles; the n values
+// hit the 16-wide, 8-wide and masked column blocks.
+TEST(SimdKernels, GemmBlockIsTheReferenceChain) {
+  util::Rng rng(29);
+  const std::size_t ns[] = {1, 2, 7, 8, 9, 15, 16, 17, 33, 90, 256};
+  const std::size_t ks[] = {1, 5, 64, 122, 256};
+  for (const Backend backend : vector_backends()) {
+    const Kernels& kern = kernels_for(backend);
+    const bool fused = backend == Backend::kAvx2;
+    for (std::size_t m = 1; m <= 16; ++m) {
+      for (const std::size_t n : ns) {
+        for (const std::size_t k : ks) {
+          auto a = random_f32(m * k, rng);
+          for (float& v : a) {
+            if (rng.uniform() < 0.4) v = 0.0f;
+          }
+          const auto b = random_f32(k * n, rng);
+          auto want = random_f32(m * n, rng);
+          auto got = want;
+          gemm_chain_reference(a.data(), b.data(), want.data(), m, k, n,
+                               fused);
+          kern.gemm_block_f32(a.data(), k, b.data(), n, got.data(), n, m, k,
+                              n);
+          ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                   m * n * sizeof(float)))
+              << "m=" << m << " n=" << n << " k=" << k
+              << " backend=" << backend_name(backend);
+        }
+      }
+    }
+  }
+}
+
+// Today's SiLU expression, the scalar kernel's bitwise contract.
+float silu_reference(float x) {
+  const float s = 1.0f / (1.0f + std::exp(-x));
+  return x * s;
+}
+
+// Distance in representable floats (sign-magnitude mapped to a line).
+std::int64_t ulp_distance(float a, float b) {
+  const auto line = [](float v) {
+    std::int32_t i;
+    std::memcpy(&i, &v, sizeof(i));
+    return i < 0 ? std::int64_t{INT32_MIN} - i : std::int64_t{i};
+  };
+  const std::int64_t d = line(a) - line(b);
+  return d < 0 ? -d : d;
+}
+
+TEST(SimdKernels, SiluScalarIsBitwiseTheSeedLoop) {
+  const Kernels& ref = kernels_for(Backend::kScalar);
+  util::Rng rng(31);
+  auto x = random_f32(257, rng);
+  for (float& v : x) v *= 8.0f;
+  x.insert(x.end(), {0.0f, -0.0f, 1e-3f, -1e-3f, 20.0f, -20.0f, 100.0f,
+                     -100.0f});
+  std::vector<float> out(x.size());
+  ref.silu_f32(x.data(), out.data(), x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const float want = silu_reference(x[i]);
+    ASSERT_EQ(0, std::memcmp(&want, &out[i], sizeof(float))) << "x=" << x[i];
+  }
+}
+
+TEST(SimdKernels, SiluCloseOnEveryLengthAndTheClamp) {
+  const Kernels& ref = kernels_for(Backend::kScalar);
+  util::Rng rng(37);
+  const float specials[] = {0.0f, 1e-3f, -1e-3f, 1.0f, -1.0f,
+                            20.0f, -20.0f, 100.0f, -100.0f};
+  for (const Backend backend : vector_backends()) {
+    const Kernels& k = kernels_for(backend);
+    std::vector<std::size_t> lengths(std::begin(kSizes), std::end(kSizes));
+    lengths.push_back(0);
+    for (const std::size_t n : lengths) {
+      auto x = random_f32(n, rng);
+      for (std::size_t i = 0; i < n; ++i) {
+        x[i] = i % 3 == 0 ? specials[(i / 3) % std::size(specials)]
+                          : x[i] * 6.0f;
+      }
+      std::vector<float> want(n), got(n + 1, 42.0f);
+      ref.silu_f32(x.data(), want.data(), n);
+      k.silu_f32(x.data(), got.data(), n);
+      EXPECT_EQ(got[n], 42.0f) << "wrote past n=" << n;
+      for (std::size_t i = 0; i < n; ++i) {
+        // Documented-ULP class: polynomial exp vs libm expf. Below 1e-30
+        // the two differ in how they reach zero — libm's expf overflows to
+        // inf past 88.72 where the polynomial clamps its argument — and
+        // both are zero for any use.
+        EXPECT_TRUE(ulp_distance(want[i], got[i]) <= 4 ||
+                    std::abs(want[i] - got[i]) < 1e-30f)
+            << "silu x=" << x[i] << " scalar=" << want[i]
+            << " vector=" << got[i] << " n=" << n
+            << " backend=" << backend_name(backend);
+      }
+    }
+  }
+}
 
 TEST(SimdKernels, DotFamilyClose) {
   const Kernels& ref = kernels_for(Backend::kScalar);
@@ -375,9 +499,12 @@ TEST(SimdDeterminism, SampledBytesIdenticalAcrossThreadCounts) {
 
   for (const Backend backend : available_backends()) {
     force_backend(backend);
-    for (const char* key : {"tvae", "smote"}) {
+    for (const std::string key : {"tvae", "smote", "tabddpm"}) {
       auto model = models::make_generator(key, budget, 7);
       model->fit(train);
+      // TabDDPM samples through Mlp::infer with per-call scratch, so its
+      // chunks share this one instance instead of per-worker clones.
+      if (key == "tabddpm") EXPECT_TRUE(model->concurrent_sampling());
       std::uint64_t digests[3] = {};
       std::size_t idx = 0;
       for (const std::size_t threads : {1u, 2u, 4u}) {

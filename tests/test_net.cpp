@@ -13,11 +13,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "models/generator.hpp"
@@ -767,6 +769,50 @@ TEST(HttpEndpointSocket, KeepAliveServesManyRequestsOnOneConnection) {
   EXPECT_EQ(bad.status, 400);
   EXPECT_GE(endpoint.server.stats().parse_errors, 1u);
   endpoint.server.stop();
+}
+
+// Start, connect from several threads, and stop while they are still
+// connecting: stop() must neither race the accept loop nor hang, whatever
+// state each connection is in. Run under TSan this is the listener-fd race
+// check; everywhere it checks that stop() is prompt and leaves no server.
+TEST(HttpServerLifecycle, StopWhileClientsConnectInALoop) {
+  for (int round = 0; round < 20; ++round) {
+    ServerConfig cfg;
+    cfg.worker_threads = 2;
+    HttpServer server(cfg, [](const HttpRequest&) {
+      return HttpResponse::text(200, "ok");
+    });
+    server.start();
+    const std::uint16_t port = server.port();
+    std::atomic<int> answered{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 4; ++c) {
+      clients.emplace_back([port, &answered] {
+        for (int i = 0; i < 5; ++i) {
+          try {
+            HttpClient client("127.0.0.1", port, /*timeout_seconds=*/5.0);
+            if (client.request("GET", "/healthz").status == 200) ++answered;
+          } catch (const TransportError&) {
+            // Refused or reset by the stopping server: expected.
+          }
+        }
+      });
+    }
+    if (round % 2 == 0) {
+      // Half the rounds let some requests through before stopping.
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (answered.load() == 0 &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+    }
+    server.stop();
+    EXPECT_FALSE(server.running());
+    for (auto& t : clients) t.join();
+    server.stop();  // idempotent
+    EXPECT_EQ(server.stats().open_connections, 0u);
+  }
 }
 
 // ------------------------------------------------------------ socket soak --

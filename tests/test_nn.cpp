@@ -227,7 +227,7 @@ TEST(MlpTest, GradientCheckThroughStack) {
   Mlp mlp;
   mlp.linear(4, 6, rng).activation(Activation::kTanh).linear(6, 3, rng);
   const auto in = random_matrix(2, 4, rng);
-  const auto& out = mlp.forward(in, false);
+  const auto& out = mlp.forward(in, true);  // backward needs the caches
   const auto w = random_matrix(2, 3, rng);
   mlp.zero_grad();
   const auto& grad_in = mlp.backward(w);
