@@ -33,6 +33,7 @@
 #include "serve/remote_shard.hpp"
 #include "serve/replay.hpp"
 #include "serve/sample_service.hpp"
+#include "util/hash.hpp"
 #include "util/json.hpp"
 #include "util/timer.hpp"
 
@@ -81,13 +82,6 @@ struct Point {
   /// two identical jobs do not cancel out).
   std::uint64_t digest = 0;
 };
-
-std::string hash_hex(std::uint64_t h) {
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
-}
 
 /// The job seed for (client, index) — identical across transports so the
 /// two digests fold over the same identity set.
@@ -169,7 +163,7 @@ std::string points_to_json(const bench::HarnessOptions& opts,
     w.kv("rows_per_sec", p.rows_per_sec);
     w.kv("p50_ms", p.p50_ms);
     w.kv("p95_ms", p.p95_ms);
-    w.kv("digest", hash_hex(p.digest));
+    w.kv("digest", util::hex64(p.digest));
     w.end_object();
   }
   w.end_array();
@@ -261,13 +255,13 @@ int main(int argc, char** argv) {
                   p.transport.c_str(), p.clients,
                   static_cast<unsigned long long>(p.jobs), p.jobs_per_sec,
                   p.rows_per_sec, p.p50_ms, p.p95_ms,
-                  hash_hex(p.digest).c_str());
+                  util::hex64(p.digest).c_str());
       points.push_back(p);
     }
     if (in_process.digest != socket.digest) {
       std::printf("FAIL: digests diverged at %zu clients (%s vs %s)\n",
-                  clients, hash_hex(in_process.digest).c_str(),
-                  hash_hex(socket.digest).c_str());
+                  clients, util::hex64(in_process.digest).c_str(),
+                  util::hex64(socket.digest).c_str());
       digests_match = false;
     }
     const double overhead =

@@ -303,7 +303,8 @@ HttpResponse RestApi::handle_submit(const HttpRequest& request) {
   auto entry = std::make_shared<JobEntry>();
   entry->params = job;
   entry->params.chunk_rows = effective_chunk;
-  entry->id = submitted.job_id;
+  entry->id = ++next_job_id_;
+  entry->backend_id = submitted.job_id;
   entry->future = std::move(submitted.future);
   {
     const std::lock_guard<std::mutex> lock(jobs_mutex_);
@@ -507,7 +508,7 @@ HttpResponse RestApi::handle_job_delete(std::uint64_t id) {
   }
   // cancel() is a no-op (false) when the job already resolved — deleting a
   // finished job just releases its retained pages.
-  const bool cancelled = service_.cancel(id);
+  const bool cancelled = service_.cancel(entry->backend_id);
   JsonWriter w;
   w.begin_object();
   w.kv("job_id", std::to_string(id));

@@ -99,7 +99,11 @@ class RestApi {
   struct JobEntry {
     std::mutex mutex;
     serve::SampleJob params;
+    /// The REST job id, minted here. It is not the backend's id: a pool
+    /// backend encodes its shard into the id's top bits, and a pool in
+    /// front of this API keeps only the low bits of the ids it sees.
     std::uint64_t id = 0;
+    std::uint64_t backend_id = 0;  ///< what service_.cancel() takes
     std::future<serve::SampleResult> future;
     /// Atomic so purge_resolved_overflow() can read it under jobs_mutex_
     /// alone (taking entry mutexes there would invert the lock order).
@@ -111,8 +115,6 @@ class RestApi {
     std::uint64_t harvest_seq = 0;  // purge order among resolved entries
   };
 
-  HttpResponse dispatch(const HttpRequest& request,
-                        const std::string& route);
   HttpResponse handle_models();
   HttpResponse handle_submit(const HttpRequest& request);
   HttpResponse handle_job_get(const HttpRequest& request, std::uint64_t id);
@@ -132,6 +134,7 @@ class RestApi {
 
   mutable std::mutex jobs_mutex_;
   std::map<std::uint64_t, std::shared_ptr<JobEntry>> jobs_;
+  std::atomic<std::uint64_t> next_job_id_{0};
   std::atomic<std::uint64_t> harvest_seq_{0};
 
   /// Per-route request/error tallies + latency window, keyed by the route

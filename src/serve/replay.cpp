@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <istream>
 #include <stdexcept>
 #include <thread>
@@ -267,9 +266,6 @@ std::string serve_stats_to_json(const SampleBackend& service,
                                 const ReplayResult& result) {
   const ServiceStats& s = result.stats;
   const ServiceConfig& cfg = service.config();
-  char hash_hex[19];
-  std::snprintf(hash_hex, sizeof(hash_hex), "%016llx",
-                static_cast<unsigned long long>(result.output_hash));
 
   util::JsonWriter w;
   w.begin_object();
@@ -349,7 +345,7 @@ std::string serve_stats_to_json(const SampleBackend& service,
   w.kv("submitted", s.pool.submitted);
   w.kv("completed", s.pool.completed);
   w.end_object();
-  w.kv("output_hash", hash_hex);
+  w.kv("output_hash", util::hex64(result.output_hash));
   w.end_object();
   return w.str();
 }

@@ -13,6 +13,7 @@
 #include "serve/latency_window.hpp"
 #include "serve/remote_shard.hpp"
 #include "serve/shard_pool.hpp"
+#include "util/hash.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -136,56 +137,46 @@ SoakResult run_soak(ModelHost& host, const SoakConfig& cfg) {
                 result.capacity_jobs_per_sec, num_models, cfg.rows_per_job);
   }
 
-  // ---- The bounded backend under test: one SampleService, or a ShardPool
-  // of them. The pool replicates the caller's host registrations (archives
-  // by path, fitted models by clone), so the expected digests computed on
-  // the unsharded host above double as the cross-placement check.
-  ServiceConfig svc_cfg;
-  svc_cfg.sample_threads = cfg.sample_threads;
-  svc_cfg.chunk_rows = cfg.chunk_rows;
-  svc_cfg.max_batch = cfg.max_batch;
-  svc_cfg.admission = cfg.admission;
-  svc_cfg.max_queue_depth = cfg.effective_queue_depth();
-  svc_cfg.max_queued_rows = cfg.max_queued_rows;
-  std::unique_ptr<SampleService> single;
-  std::unique_ptr<ShardPool> pool;
-  SampleBackend* backend = nullptr;
-  if (cfg.shards > 1 || !cfg.remote_shards.empty()) {
-    ShardPoolConfig pool_cfg;
-    pool_cfg.shards = cfg.shards;
-    pool_cfg.replication = std::max<std::size_t>(cfg.replicas, 1);
-    pool_cfg.host.capacity = host.stats().capacity;
-    pool_cfg.host.ttl_ms = cfg.shard_ttl_ms;
-    pool_cfg.service = svc_cfg;
-    for (const auto& spec : cfg.remote_shards) {
-      pool_cfg.remotes.push_back(parse_remote_endpoint(spec));
-    }
-    pool = std::make_unique<ShardPool>(pool_cfg);
-    for (const auto& key : cfg.models) {
-      const std::string path = host.archive_path(key);
-      if (!path.empty()) {
-        pool->register_archive(key, path);
-      } else {
-        // A fitted in-memory model cannot cross a process boundary;
-        // register_fitted throws when any owner shard is remote, which is
-        // the right answer (the worker could never produce those bytes).
-        pool->register_fitted(
-            key, std::shared_ptr<models::TabularGenerator>(
-                     host.acquire(key)->clone()));
-      }
-    }
-    backend = pool.get();
-    if (cfg.verbose) {
-      std::printf(
-          "soak: sharded tier — %zu local + %zu remote shards, "
-          "replication %zu\n",
-          cfg.shards, cfg.remote_shards.size(), pool_cfg.replication);
-    }
-  } else {
-    single = std::make_unique<SampleService>(host, svc_cfg);
-    backend = single.get();
+  // ---- The bounded backend under test: a ShardPool, one shard or many.
+  // The pool replicates the caller's host registrations (archives by path,
+  // fitted models by clone), so the expected digests computed on the
+  // unsharded host above double as the cross-placement check.
+  ShardPoolConfig pool_cfg;
+  pool_cfg.shards = cfg.shards;
+  pool_cfg.replication = std::max<std::size_t>(cfg.replicas, 1);
+  pool_cfg.host.capacity = host.stats().capacity;
+  pool_cfg.host.ttl_ms = cfg.shard_ttl_ms;
+  pool_cfg.service.sample_threads = cfg.sample_threads;
+  pool_cfg.service.chunk_rows = cfg.chunk_rows;
+  pool_cfg.service.max_batch = cfg.max_batch;
+  pool_cfg.service.admission = cfg.admission;
+  pool_cfg.service.max_queue_depth = cfg.effective_queue_depth();
+  pool_cfg.service.max_queued_rows = cfg.max_queued_rows;
+  for (const auto& spec : cfg.remote_shards) {
+    pool_cfg.remotes.push_back(parse_remote_endpoint(spec));
   }
-  SampleBackend& service = *backend;
+  ShardPool pool(pool_cfg);
+  for (const auto& key : cfg.models) {
+    const std::string path = host.archive_path(key);
+    if (!path.empty()) {
+      pool.register_archive(key, path);
+    } else {
+      // A fitted in-memory model cannot cross a process boundary;
+      // register_fitted throws when any owner shard is remote, which is the
+      // right answer (the worker could never produce those bytes).
+      pool.register_fitted(key, std::shared_ptr<models::TabularGenerator>(
+                                    host.acquire(key)->clone()));
+    }
+    // Archive loads are lazy; pay them here, not inside the lowest-load
+    // point whose p95 is the SLO ratio's denominator.
+    for (const std::size_t s : pool.router().owners(key)) {
+      if (pool.shard_is_local(s)) (void)pool.host(s).acquire(key);
+    }
+  }
+  if (cfg.verbose) {
+    std::printf("soak: %zu local + %zu remote shard(s), replication %zu\n",
+                cfg.shards, cfg.remote_shards.size(), pool_cfg.replication);
+  }
 
   // Socket mode: the same bounded service, but behind the REST front end
   // on an ephemeral loopback port, and each client drives it through its
@@ -206,7 +197,7 @@ SoakResult run_soak(ModelHost& host, const SoakConfig& cfg) {
     net::ServerConfig server_cfg;
     server_cfg.worker_threads =
         cfg.http_workers != 0 ? cfg.http_workers : 2 * cfg.clients + 2;
-    endpoint = std::make_unique<net::HttpEndpoint>(service, rest_cfg,
+    endpoint = std::make_unique<net::HttpEndpoint>(pool, rest_cfg,
                                                    server_cfg);
     endpoint->server.start();
     RemoteShardConfig remote_cfg;
@@ -244,22 +235,18 @@ SoakResult run_soak(ModelHost& host, const SoakConfig& cfg) {
     };
     std::vector<ClientTally> tallies(cfg.clients);
 
-    // Queue-depth monitor: the "bounded queue under overload" probe. For a
-    // sharded run the admission bound is per shard, so the monitor tracks
-    // each shard's depth (and the headline max is the worst single shard).
+    // Queue-depth monitor: the "bounded queue under overload" probe. The
+    // admission bound is per shard, so the monitor tracks each shard's
+    // depth (and the headline max is the worst single shard).
     std::atomic<bool> monitor_stop{false};
     std::size_t max_depth = 0;
-    std::vector<std::size_t> shard_max(pool ? pool->shards() : 0, 0);
+    std::vector<std::size_t> shard_max(pool.shards(), 0);
     std::thread monitor([&] {
       while (!monitor_stop.load(std::memory_order_relaxed)) {
-        if (pool) {
-          const auto depths = pool->shard_depths();
-          for (std::size_t s = 0; s < depths.size(); ++s) {
-            shard_max[s] = std::max(shard_max[s], depths[s]);
-            max_depth = std::max(max_depth, depths[s]);
-          }
-        } else {
-          max_depth = std::max(max_depth, service.queue_depth());
+        const auto depths = pool.shard_depths();
+        for (std::size_t s = 0; s < depths.size(); ++s) {
+          shard_max[s] = std::max(shard_max[s], depths[s]);
+          max_depth = std::max(max_depth, depths[s]);
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
@@ -268,7 +255,8 @@ SoakResult run_soak(ModelHost& host, const SoakConfig& cfg) {
     util::Stopwatch point_wall;
     const auto client = [&](std::size_t c) {
       auto& tally = tallies[c];
-      SampleBackend& target = remotes.empty() ? service : *remotes[c];
+      SampleBackend& target =
+          remotes.empty() ? static_cast<SampleBackend&>(pool) : *remotes[c];
       util::Rng arrivals(arrival_seed(cfg, p, c));
       struct Accepted {
         std::future<SampleResult> future;
@@ -342,7 +330,7 @@ SoakResult run_soak(ModelHost& host, const SoakConfig& cfg) {
       threads.emplace_back(client, c);
     }
     for (auto& t : threads) t.join();
-    service.drain();  // the no-deadlock-on-drain-mid-overload check
+    pool.drain();  // the no-deadlock-on-drain-mid-overload check
     point.wall_seconds = point_wall.seconds();
     monitor_stop.store(true, std::memory_order_relaxed);
     monitor.join();
@@ -401,14 +389,12 @@ SoakResult run_soak(ModelHost& host, const SoakConfig& cfg) {
           ? high->p95_ms / low->p95_ms
           : std::nan("");
 
-  result.final_stats = service.stats();
-  if (pool) {
-    const ShardStats ss = pool->shard_stats();
-    result.shard_final_stats = ss.per_shard;
-    result.routed = ss.routed;
-    result.rerouted = ss.rerouted;
-    result.rerouted_transport = ss.rerouted_transport;
-  }
+  const ShardStats ss = pool.shard_stats();
+  result.final_stats = ss.aggregate;
+  result.shard_final_stats = ss.per_shard;
+  result.routed = ss.routed;
+  result.rerouted = ss.rerouted;
+  result.rerouted_transport = ss.rerouted_transport;
   if (endpoint) {
     const net::ServerStats server = endpoint->server.stats();
     result.http_connections = server.connections;
@@ -446,24 +432,18 @@ std::string render_soak(const SoakResult& result) {
                 result.deterministic ? "ok" : "VIOLATED",
                 static_cast<unsigned long long>(result.expected_hash));
   out += line;
-  if (!result.shard_final_stats.empty()) {
-    std::snprintf(
-        line, sizeof(line),
-        "shards: %zu (routed %llu, rerouted %llu, transport reroutes %llu)\n",
-        result.shard_final_stats.size(),
-        static_cast<unsigned long long>(result.routed),
-        static_cast<unsigned long long>(result.rerouted),
-        static_cast<unsigned long long>(result.rerouted_transport));
-    out += line;
-  }
+  std::snprintf(
+      line, sizeof(line),
+      "shards: %zu (routed %llu, rerouted %llu, transport reroutes %llu)\n",
+      result.shard_final_stats.size(),
+      static_cast<unsigned long long>(result.routed),
+      static_cast<unsigned long long>(result.rerouted),
+      static_cast<unsigned long long>(result.rerouted_transport));
+  out += line;
   return out;
 }
 
 std::string soak_to_json(const SoakConfig& cfg, const SoakResult& result) {
-  char hash_hex[19];
-  std::snprintf(hash_hex, sizeof(hash_hex), "%016llx",
-                static_cast<unsigned long long>(result.expected_hash));
-
   util::JsonWriter w;
   w.begin_object();
   w.kv("schema_version", 1);
@@ -497,7 +477,7 @@ std::string soak_to_json(const SoakConfig& cfg, const SoakResult& result) {
   w.kv("shard_transport",
        cfg.remote_shards.empty() ? "in-process" : "multi-process");
   w.kv("capacity_jobs_per_sec", result.capacity_jobs_per_sec);
-  w.kv("expected_hash", hash_hex);
+  w.kv("expected_hash", util::hex64(result.expected_hash));
   w.key("sweep").begin_array();
   for (const auto& point : result.points) {
     w.begin_object();
@@ -515,11 +495,9 @@ std::string soak_to_json(const SoakConfig& cfg, const SoakResult& result) {
     w.kv("wall_seconds", point.wall_seconds);
     w.kv("accepted_rows_per_sec", point.accepted_rows_per_sec);
     w.kv("max_queue_depth_seen", point.max_queue_depth_seen);
-    if (!point.shard_max_depths.empty()) {
-      w.key("shard_max_depths").begin_array();
-      for (const std::size_t d : point.shard_max_depths) w.value(d);
-      w.end_array();
-    }
+    w.key("shard_max_depths").begin_array();
+    for (const std::size_t d : point.shard_max_depths) w.value(d);
+    w.end_array();
     w.kv("hashes_ok", point.hashes_ok);
     w.end_object();
   }
@@ -547,33 +525,31 @@ std::string soak_to_json(const SoakConfig& cfg, const SoakResult& result) {
   w.kv("evictions", s.host.evictions);
   w.kv("hit_rate", s.host.hit_rate());
   w.end_object();
-  if (!result.shard_final_stats.empty()) {
-    w.key("shards").begin_object();
-    w.kv("count", result.shard_final_stats.size());
-    w.kv("local", cfg.shards);
-    w.kv("remote", cfg.remote_shards.size());
-    w.kv("replicas", cfg.replicas);
-    w.kv("routed", result.routed);
-    w.kv("rerouted", result.rerouted);
-    w.kv("rerouted_transport", result.rerouted_transport);
-    w.key("per_shard").begin_array();
-    for (std::size_t i = 0; i < result.shard_final_stats.size(); ++i) {
-      const ServiceStats& ss = result.shard_final_stats[i];
-      w.begin_object();
-      w.kv("shard", i);
-      w.kv("submitted", ss.submitted);
-      w.kv("completed", ss.completed);
-      w.kv("rejected", ss.rejected);
-      w.kv("shed", ss.shed);
-      w.kv("batches", ss.batches);
-      w.kv("cache_hits", ss.host.hits);
-      w.kv("cache_misses", ss.host.misses);
-      w.kv("stale_reloads", ss.host.stale_reloads);
-      w.end_object();
-    }
-    w.end_array();
+  w.key("shards").begin_object();
+  w.kv("count", result.shard_final_stats.size());
+  w.kv("local", cfg.shards);
+  w.kv("remote", cfg.remote_shards.size());
+  w.kv("replicas", cfg.replicas);
+  w.kv("routed", result.routed);
+  w.kv("rerouted", result.rerouted);
+  w.kv("rerouted_transport", result.rerouted_transport);
+  w.key("per_shard").begin_array();
+  for (std::size_t i = 0; i < result.shard_final_stats.size(); ++i) {
+    const ServiceStats& ss = result.shard_final_stats[i];
+    w.begin_object();
+    w.kv("shard", i);
+    w.kv("submitted", ss.submitted);
+    w.kv("completed", ss.completed);
+    w.kv("rejected", ss.rejected);
+    w.kv("shed", ss.shed);
+    w.kv("batches", ss.batches);
+    w.kv("cache_hits", ss.host.hits);
+    w.kv("cache_misses", ss.host.misses);
+    w.kv("stale_reloads", ss.host.stale_reloads);
     w.end_object();
   }
+  w.end_array();
+  w.end_object();
   if (cfg.over_socket) {
     w.key("http").begin_object();
     w.kv("connections", result.http_connections);

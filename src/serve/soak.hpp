@@ -1,6 +1,6 @@
 #pragma once
 // Overload soak harness for the serving layer: N client threads with
-// Poisson arrivals drive a bounded SampleService at a sweep of offered-load
+// Poisson arrivals drive a bounded ShardPool at a sweep of offered-load
 // multipliers (fractions/multiples of the service's measured capacity),
 // recording per-point accepted/rejected/shed/deadline-missed counts and
 // accepted-job latency percentiles — and asserting the determinism contract
@@ -74,16 +74,16 @@ struct SoakConfig {
   /// (RemoteShardConfig::poll_wait_ms of each client).
   double poll_wait_ms = 250.0;
 
-  /// Worker shards for the bounded service under test. 1 = the classic
-  /// single SampleService; > 1 stands up a serve::ShardPool (each shard
-  /// its own ModelHost + SampleService, admission bounds *per shard*) and
-  /// routes every submit through the consistent-hash router. Calibration
-  /// and the expected digests stay on the caller's unsharded host either
-  /// way — the expected_hash is placement-independent by contract, so a
-  /// 1-shard and an 8-shard run of the same config must agree on it.
+  /// Local shards of the serve::ShardPool under test (each shard its own
+  /// ModelHost + SampleService, admission bounds *per shard*); every
+  /// submit goes through the consistent-hash router. 0 is valid only with
+  /// remote_shards. Calibration and the expected digests stay on the
+  /// caller's unsharded host — the expected_hash is placement-independent
+  /// by contract, so a 1-shard and an 8-shard run of the same config must
+  /// agree on it.
   std::size_t shards = 1;
-  /// Replication factor for the sharded tier (clamped to the total shard
-  /// count, local + remote).
+  /// Replication factor (clamped to the total shard count, local +
+  /// remote).
   std::size_t replicas = 1;
   /// Archive-cache TTL per shard (ModelHost staleness; 0 = never stale).
   double shard_ttl_ms = 0.0;
@@ -127,10 +127,10 @@ struct SoakPoint {
   double wall_seconds = 0.0;          ///< submission window + drain
   double accepted_rows_per_sec = 0.0;
   /// Highest queue depth observed by the monitor thread — the "bounded
-  /// queue depth" check under overload. For a sharded run this is the
-  /// highest *single-shard* depth (the admission bound is per shard).
+  /// queue depth" check under overload. This is the highest *single-shard*
+  /// depth (the admission bound is per shard).
   std::size_t max_queue_depth_seen = 0;
-  /// Per-shard depth maxima (empty for unsharded runs); index = shard.
+  /// Per-shard depth maxima; index = shard.
   std::vector<std::size_t> shard_max_depths;
   bool hashes_ok = true;  ///< every accepted job matched its expected digest
 };
@@ -150,8 +150,8 @@ struct SoakResult {
   /// p95 at the highest multiplier / p95 at the lowest; NaN when either
   /// side is empty (degrades to null in JSON). The overload-SLO headline.
   double p95_ratio_vs_low_load = 0.0;
-  ServiceStats final_stats;  ///< cumulative service stats after the sweep
-  /// Per-shard final stats + routing tallies (empty/zero when shards == 1).
+  ServiceStats final_stats;  ///< cumulative pool stats after the sweep
+  /// Per-shard final stats + routing tallies.
   std::vector<ServiceStats> shard_final_stats;
   std::uint64_t routed = 0;    ///< submits the router placed on a shard
   std::uint64_t rerouted = 0;  ///< submits re-placed after a replica refused

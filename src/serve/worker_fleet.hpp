@@ -1,10 +1,10 @@
 #pragma once
 // WorkerFleet: spawn N `surro_cli serve --worker` processes, wait until
 // every one answers /healthz, and tear them down with SIGTERM on exit.
-// The process-management backbone of `surro_cli fleet`, the remote mode of
-// bench/serve_shard, and the cross-process conformance tests — each worker
-// binds an ephemeral port and reports it through a --port-file, so fleets
-// never race over fixed port numbers.
+// The process-management backbone of `surro_cli fleet`, the remote mode
+// of bench/serve_throughput, and the cross-process conformance tests —
+// each worker binds an ephemeral port and reports it through a
+// --port-file, so fleets never race over fixed port numbers.
 //
 // Teardown contract: workers handle SIGTERM by stopping accepts, draining
 // in-flight jobs, and exiting 0 (the serve --listen graceful-shutdown

@@ -226,12 +226,6 @@ void append_metrics_json(util::JsonWriter& w, const sched::SimMetrics& m) {
   w.end_object();
 }
 
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 }  // namespace
 
 std::string twin_to_json(const TwinConfig& cfg, const TwinResult& result,
@@ -305,7 +299,7 @@ std::string twin_to_json(const TwinConfig& cfg, const TwinResult& result,
   w.kv("mean_decision_fidelity", result.mean_decision_fidelity);
   w.kv("mean_outcome_gap", result.mean_outcome_gap);
   w.kv("wall_seconds", result.wall_seconds);
-  w.kv("outcome_digest", hex16(result.outcome_digest));
+  w.kv("outcome_digest", util::hex64(result.outcome_digest));
   w.end_object();
   return w.str();
 }
@@ -339,7 +333,7 @@ std::string render_twin(const TwinResult& result) {
                 "mean decision fidelity %.3f, mean outcome gap %.3f, "
                 "digest %s\n",
                 result.mean_decision_fidelity, result.mean_outcome_gap,
-                hex16(result.outcome_digest).c_str());
+                util::hex64(result.outcome_digest).c_str());
   out += buf;
   return out;
 }

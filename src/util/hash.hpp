@@ -3,9 +3,11 @@
 // scheduler's metrics_digest, the twin's decision digest, the workload
 // bridge's label scatter and the shard router's key hash. Callers pick the
 // starting value and fold bytes in with the mix helpers, so a multi-field
-// digest is just a sequence of mixes.
+// digest is just a sequence of mixes. hex64 is the one rendering of a
+// published digest.
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 namespace surro::util {
@@ -46,6 +48,17 @@ constexpr void fnv_mix_bytes(std::uint64_t& h,
   std::uint64_t h = offset;
   fnv_mix_bytes(h, bytes);
   return h;
+}
+
+/// `v` as 16 lowercase, zero-padded hex digits (printf's "%016llx"): the
+/// text form of every published digest (output_hash, expected_hash, the
+/// twin's decision digest).
+[[nodiscard]] inline std::string hex64(std::uint64_t v) {
+  std::string out(16, '0');
+  for (std::size_t i = out.size(); i-- > 0; v >>= 4) {
+    out[i] = "0123456789abcdef"[v & 0xF];
+  }
+  return out;
 }
 
 }  // namespace surro::util

@@ -16,6 +16,8 @@
 //     same bytes as a direct unsharded ModelHost for all four models, and
 //     a dead remote replica re-routes (counted in rerouted_transport) with
 //     bytes unchanged.
+//   * Nested pools — cancel through an outer pool reaches a job queued on
+//     a worker that is itself a pool (as every `serve --worker` is).
 //   * True multi-process (when SURRO_CLI_PATH is defined) — a WorkerFleet
 //     of real `surro_cli serve --worker` processes behind the same pool,
 //     including a SIGKILLed worker mid-sweep and a graceful fleet
@@ -667,6 +669,39 @@ TEST(TransportReroute, EveryReplicaDeadSurfacesTheTransportError) {
   EXPECT_THROW((void)pool.submit_job(make_job({"smote", 1})),
                net::TransportError);
   EXPECT_EQ(pool.shard_stats().rerouted_transport, 0u);  // nowhere to go
+}
+
+// ---------------------------------------------------------- nested pools --
+
+TEST(NestedPool, CancelReachesAJobQueuedOnAPoolWorker) {
+  // A `surro_cli serve --worker` serves a 1-shard ShardPool, whose job ids
+  // carry the shard in their top bits, while an outer pool keeps only the
+  // low bits of a remote shard's ids. DELETE /v1/jobs/{id} must still name
+  // the queued job: the REST layer mints its own ids.
+  ShardPoolConfig inner_cfg;
+  inner_cfg.shards = 1;
+  inner_cfg.host.capacity = 1;
+  ShardPool inner(inner_cfg);
+  inner.register_archive("smote", archives().path("smote"));
+  inner.service(0).pause();
+  net::HttpEndpoint endpoint(inner);
+  endpoint.server.start();
+
+  ShardPoolConfig outer_cfg;
+  outer_cfg.shards = 0;  // remote-only
+  outer_cfg.remotes.push_back(quick_remote(endpoint.server.port()));
+  ShardPool outer(outer_cfg);
+  outer.register_archive("smote", archives().path("smote"));
+
+  auto submitted = outer.submit_job(make_job({"smote", 5}));
+  const bool cancelled = outer.cancel(submitted.job_id);
+  inner.service(0).resume();  // a missed cancel then fails, not hangs
+  EXPECT_TRUE(cancelled);
+  EXPECT_ANY_THROW((void)submitted.future.get());
+  EXPECT_EQ(inner.stats().cancelled, 1u);
+
+  endpoint.server.stop();
+  inner.drain();
 }
 
 // -------------------------------------------------- true multi-process --

@@ -15,6 +15,8 @@
 //   * Aggregate stats arithmetic — ShardPool::stats() counters are the
 //     strict sums of the per-shard counters, machine-checked, and the
 //     "shards" stats JSON section carries the same numbers.
+//   * The soak's single backend path — run_soak always drives a ShardPool,
+//     and a 1-shard and a 3-shard sweep land on the same expected digest.
 
 #include <gtest/gtest.h>
 
@@ -34,6 +36,7 @@
 #include "serve/sample_service.hpp"
 #include "serve/shard_pool.hpp"
 #include "serve/shard_router.hpp"
+#include "serve/soak.hpp"
 #include "util/json.hpp"
 #include "util/json_parse.hpp"
 #include "util/rng.hpp"
@@ -557,6 +560,45 @@ TEST(AggregateStats, StatsJsonShardSectionCarriesTheSameNumbers) {
   EXPECT_EQ(completed, 2.0);
   const auto& placement = shards.at("placement").array;
   ASSERT_EQ(placement.size(), archives().keys.size());
+}
+
+// ------------------------------------------------------------- soak tier --
+
+TEST(SoakTier, OneAndThreeShardSweepsAgreeOnTheExpectedHash) {
+  // run_soak always drives a ShardPool; fitted in-memory models reach its
+  // shards as clones. A 1-shard and a 3-shard sweep of the same config
+  // must agree on every byte.
+  ModelHost host;
+  models::TrainBudget budget;
+  budget.epochs = 2;
+  for (const std::string key : {"smote", "tvae"}) {
+    auto model = models::make_generator(key, budget, 7);
+    model->fit(cluster_table(200, 5));
+    host.register_fitted(key, std::move(model));
+  }
+  SoakConfig cfg;
+  cfg.models = {"smote", "tvae"};
+  cfg.load_multipliers = {0.5, 2.0};
+  cfg.clients = 2;
+  cfg.rows_per_job = kRows;
+  cfg.chunk_rows = kChunkRows;
+  cfg.seed_streams = 3;
+  cfg.duration_seconds = 0.2;
+
+  cfg.shards = 1;
+  const SoakResult one = run_soak(host, cfg);
+  cfg.shards = 3;
+  const SoakResult three = run_soak(host, cfg);
+
+  EXPECT_TRUE(one.deterministic);
+  EXPECT_TRUE(three.deterministic);
+  EXPECT_EQ(one.expected_hash, three.expected_hash);
+  ASSERT_EQ(one.points.size(), cfg.load_multipliers.size());
+  for (const SoakPoint& point : one.points) {
+    EXPECT_EQ(point.shard_max_depths.size(), 1u);
+  }
+  EXPECT_EQ(one.shard_final_stats.size(), 1u);
+  EXPECT_EQ(three.shard_final_stats.size(), 3u);
 }
 
 }  // namespace

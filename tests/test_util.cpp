@@ -1,10 +1,12 @@
 // String helpers, CSV round trips, stable math, histograms, and the FNV-1a
 // digest helper (pinned to the standard vectors and to one serve::hash_table
-// value, so no refactor can silently move a published digest).
+// value, so no refactor can silently move a published digest) and its hex
+// rendering.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 
 #include "serve/replay.hpp"
 #include "tabular/table.hpp"
@@ -310,6 +312,20 @@ TEST(Hash, HashTableBytesArePinned) {
   }
   // Every published output_hash / expected_hash is a sum of these.
   EXPECT_EQ(serve::hash_table(table), 0xac9edff3adad894aULL);
+}
+
+TEST(Hash, Hex64MatchesPrintfRendering) {
+  EXPECT_EQ(hex64(0), "0000000000000000");
+  EXPECT_EQ(hex64(0xac9edff3adad894aULL), "ac9edff3adad894a");
+  EXPECT_EQ(hex64(~0ULL), "ffffffffffffffff");
+  for (const std::uint64_t v :
+       {std::uint64_t{0xf}, std::uint64_t{0x100}, kFnvOffset, kFnvPrime,
+        kFnvShortOffset, fnv1a("foobar")}) {
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
+    EXPECT_EQ(hex64(v), buf) << v;
+  }
 }
 
 }  // namespace

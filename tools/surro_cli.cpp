@@ -46,9 +46,10 @@
 // its axes are window stride, drift family, and refresh regime (cold refit
 // vs warm delta refresh), and its JSON carries per-window fidelity decay
 // curves plus refresh timings. `serve` stands up the serving layer — a
-// ModelHost LRU cache over saved archives plus the batching SampleService —
-// replays a request script against it from N concurrent clients, and
-// writes the serve_stats JSON artifact; --admission/--max-queue/
+// ShardPool of ModelHost LRU caches over saved archives, each with its
+// batching SampleService (one shard unless --shards says more) — replays
+// a request script against it from N concurrent clients, and writes the
+// serve_stats JSON artifact; --admission/--max-queue/
 // --max-queued-rows bound the admission queue (block, reject, or shed on
 // overflow). With --listen, `serve` instead exposes the service as the
 // HTTP/1.1 REST API (src/net) — POST /v1/sample, paginated
@@ -586,14 +587,14 @@ std::size_t count_flag(const Args& args, const std::string& key,
 std::atomic<bool> g_serve_stop{false};
 void serve_signal_handler(int /*signum*/) { g_serve_stop.store(true); }
 
-/// `serve --listen`: expose the SampleService as the HTTP REST API and run
+/// `serve --listen`: expose the shard pool as the HTTP REST API and run
 /// until a signal, --serve-seconds elapse, or (with --self-probe) one
 /// in-process round-trip across every endpoint finishes. --self-probe
 /// exists so the documented example is executable: it binds an ephemeral
 /// port, exercises the API end to end — including a digest comparison
 /// against a direct in-process sample of the same job identity — and exits.
-int cmd_serve_listen(const Args& args, serve::SampleBackend& service,
-                     serve::ModelHost& host, std::size_t shards) {
+int cmd_serve_listen(const Args& args, serve::ShardPool& service,
+                     serve::ModelHost& host) {
   const auto count = [&args](const std::string& key, double fallback) {
     return count_flag(args, key, fallback);
   };
@@ -652,7 +653,7 @@ int cmd_serve_listen(const Args& args, serve::SampleBackend& service,
               "keys%s, quota %.0f rps, %zu workers, simd %s\n",
               server_cfg.bind_address.c_str(),
               static_cast<unsigned>(endpoint.server.port()),
-              host.keys().size(), shards,
+              host.keys().size(), service.shards(),
               endpoint.api.quotas().num_keys(),
               endpoint.api.quotas().open_access() ? " (open access)" : "",
               rest_cfg.quota_rps, server_cfg.worker_threads,
@@ -789,55 +790,41 @@ int cmd_serve(const Args& args) {
   svc_cfg.max_queue_depth = count("max-queue", 0.0);
   svc_cfg.max_queued_rows = count("max-queued-rows", 0.0);
 
-  // --shards N > 1 swaps the single SampleService for a ShardPool (each
-  // shard its own ModelHost + SampleService behind the consistent-hash
-  // router), and --remote-shards HOST:PORT,... appends worker *processes*
-  // as shards of the same pool. The flat `host` stays the registry of
-  // record — and, in --listen --self-probe, the unsharded reference the
-  // socket digest is checked against, which is exactly the
-  // placement-invariance contract (in-process and across processes).
+  // The backend is always a ShardPool: --shards N local shards (default 1,
+  // each its own ModelHost + SampleService behind the consistent-hash
+  // router), plus --remote-shards HOST:PORT,... worker *processes* as
+  // shards of the same pool. The flat `host` stays the registry of record
+  // — and, in --listen --self-probe, the unsharded reference the socket
+  // digest is checked against, which is exactly the placement-invariance
+  // contract (in-process and across processes).
   //
-  // --worker pins the topology to one plain in-process shard: a worker is
-  // a leaf, placement is its caller's concern.
+  // --worker pins the topology to one local shard: a worker is a leaf,
+  // placement is its caller's concern.
   const bool worker = args.flag("worker");
-  const std::size_t shards =
-      worker ? 1 : std::max<std::size_t>(count("shards", 1.0), 1);
-  std::vector<serve::RemoteShardConfig> remotes;
+  serve::ShardPoolConfig pool_cfg;
+  pool_cfg.shards = worker ? 1 : std::max<std::size_t>(count("shards", 1.0), 1);
+  pool_cfg.replication = std::max<std::size_t>(count("replicas", 1.0), 1);
+  pool_cfg.host.capacity = host_cfg.capacity;
+  pool_cfg.host.ttl_ms = args.num("shard-ttl-ms", 0.0);
+  pool_cfg.service = svc_cfg;
   if (!worker && args.has("remote-shards")) {
     const std::string spec = args.get("remote-shards");
     for (const auto raw : util::split(spec, ',')) {
       const auto entry = util::trim(raw);
       if (entry.empty()) continue;
-      remotes.push_back(serve::parse_remote_endpoint(std::string(entry)));
+      pool_cfg.remotes.push_back(
+          serve::parse_remote_endpoint(std::string(entry)));
     }
   }
-  std::unique_ptr<serve::SampleService> single;
-  std::unique_ptr<serve::ShardPool> pool;
-  serve::SampleBackend* backend = nullptr;
-  if (shards > 1 || !remotes.empty()) {
-    serve::ShardPoolConfig pool_cfg;
-    pool_cfg.shards = shards;
-    pool_cfg.replication = std::max<std::size_t>(count("replicas", 1.0), 1);
-    pool_cfg.host.capacity = host_cfg.capacity;
-    pool_cfg.host.ttl_ms = args.num("shard-ttl-ms", 0.0);
-    pool_cfg.service = svc_cfg;
-    pool_cfg.remotes = std::move(remotes);
-    pool = std::make_unique<serve::ShardPool>(pool_cfg);
-    for (const auto& key : host.keys()) {
-      // Local owners load the archive by path; remote owners are verified
-      // to already serve the key (their --models flags name the archives).
-      pool->register_archive(key, host.archive_path(key));
-    }
-    backend = pool.get();
-  } else {
-    single = std::make_unique<serve::SampleService>(host, svc_cfg);
-    backend = single.get();
+  serve::ShardPool service(pool_cfg);
+  for (const auto& key : host.keys()) {
+    // Local owners load the archive by path; remote owners are verified to
+    // already serve the key (their --models flags name the archives).
+    service.register_archive(key, host.archive_path(key));
   }
-  serve::SampleBackend& service = *backend;
 
   if (worker || args.has("listen")) {
-    return cmd_serve_listen(args, service, host,
-                            pool ? pool->shards() : shards);
+    return cmd_serve_listen(args, service, host);
   }
 
   serve::ReplayScript script;
