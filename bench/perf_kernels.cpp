@@ -1,6 +1,7 @@
 // Kernel + end-to-end perf ledger (BENCH_kernels.json). Runs every kernel
 // scenario under each available SIMD backend in one process (via
-// force_backend), measures end-to-end fit/sample throughput for the four
+// force_backend), times encode + decode of one result page in both wire
+// forms, measures end-to-end fit/sample throughput for the four
 // surrogate models, and verifies the thread-count bitwise-determinism
 // contract per backend. CI runs `--quick` and diffs scalar-vs-vectorized
 // throughput; see docs/PERFORMANCE.md for how to read the output.
@@ -14,13 +15,17 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "eval/experiment.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/ops.hpp"
 #include "linalg/simd.hpp"
 #include "models/generator.hpp"
+#include "net/page_codec.hpp"
+#include "net/rest.hpp"
 #include "serve/replay.hpp"
 #include "tabular/table.hpp"
 #include "util/json.hpp"
+#include "util/json_parse.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -134,6 +139,42 @@ tabular::Table pinned_table(std::size_t n) {
     t.append_row(row);
   }
   return t;
+}
+
+/// One default-size result page (1,000 rows) of SMOTE samples over the
+/// quick PanDA corpus: the page smote-socket ships 20 of per job.
+tabular::Table smote_page_rows() {
+  eval::ExperimentConfig ec = eval::quick_experiment_config();
+  ec.seed = 42;
+  ec.data.seed = 42;
+  const auto train = eval::prepare_data(ec).train.head(2000);
+  auto model = models::make_generator("smote", {}, 42);
+  model->fit(train);
+  return model->sample(net::RestConfig{}.page_rows, 7);
+}
+
+/// Encode + decode of one result page in each wire form, rows per second.
+void run_page_codecs(const Scenario& sc, const std::string& backend,
+                     const tabular::Table& page,
+                     std::vector<KernelRow>& rows) {
+  net::PageHeader header;
+  header.job_id = 1;
+  header.model = "smote";
+  header.end = page.num_rows();
+  const double n = static_cast<double>(page.num_rows());
+  std::size_t sink = 0;
+  const double json_s = best_seconds(sc.reps, [&] {
+    const std::string body = net::encode_json_page(header, page);
+    sink += net::decode_json_page(util::parse_json(body)).rows.num_rows();
+  });
+  rows.push_back({"page_json", backend, json_s, n / json_s, "rows_per_sec"});
+  const double colblock_s = best_seconds(sc.reps, [&] {
+    const std::string body = net::encode_colblock_page(header, page);
+    sink += net::decode_colblock_page(body).rows.num_rows();
+  });
+  rows.push_back(
+      {"page_colblock", backend, colblock_s, n / colblock_s, "rows_per_sec"});
+  (void)sink;
 }
 
 /// All kernel scenarios under the currently forced backend.
@@ -308,6 +349,7 @@ int main(int argc, char** argv) {
               simd::backend_name(startup));
 
   const auto train = pinned_table(sc.fit_rows);
+  const auto page = smote_page_rows();
   const auto model_keys = models::GeneratorRegistry::instance().keys();
 
   std::vector<KernelRow> kernel_rows;
@@ -319,6 +361,7 @@ int main(int argc, char** argv) {
     const std::string name = simd::backend_name(b);
     std::printf("-- backend %s: kernels\n", name.c_str());
     auto rows = run_kernels(sc, name);
+    run_page_codecs(sc, name, page, rows);
     for (const auto& r : rows) {
       std::printf("   %-14s %10.3f %s\n", r.name.c_str(), r.throughput,
                   r.unit.c_str());

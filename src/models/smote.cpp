@@ -1,6 +1,7 @@
 #include "models/smote.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -41,6 +42,7 @@ void Smote::fit(const tabular::Table& train, const FitOptions& opts) {
 
   tree_ = std::make_unique<knn::KdTree>(numerical_);
   indexed_rows_ = numerical_.rows();
+  build_neighbor_table();
   fitted_ = true;
   // SMOTE "trains" in a single pass; report it as one completed epoch.
   if (opts.on_progress) opts.on_progress({1, 1, 0.0f});
@@ -82,6 +84,8 @@ void Smote::warm_fit(const tabular::Table& delta,
     }
   }
   numerical_ = std::move(grown);
+  neighbor_table_.clear();
+  neighbor_width_ = 0;
 
   for (std::size_t bi = 0; bi < cat_codes_.size(); ++bi) {
     const auto codes = delta.categorical(encoder_.blocks()[bi].column);
@@ -125,6 +129,22 @@ std::vector<knn::Neighbor> Smote::neighbors_of(std::size_t base) const {
   return neighbors;
 }
 
+void Smote::build_neighbor_table() {
+  const std::size_t n = numerical_.rows();
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("smote: too many rows for the neighbour table");
+  }
+  neighbor_width_ = std::min(cfg_.k_neighbors, n - 1);
+  neighbor_table_.assign(n * neighbor_width_, 0);
+  for (std::size_t b = 0; b < n; ++b) {
+    const auto neighbors = neighbors_of(b);
+    std::uint32_t* row = neighbor_table_.data() + b * neighbor_width_;
+    for (std::size_t j = 0; j < neighbor_width_; ++j) {
+      row[j] = static_cast<std::uint32_t>(neighbors[j].index);
+    }
+  }
+}
+
 tabular::Table Smote::sample_chunk(std::size_t n, std::uint64_t seed) {
   if (!fitted_) throw std::logic_error("smote: sample before fit");
   util::Rng rng(seed);
@@ -137,11 +157,15 @@ tabular::Table Smote::sample_chunk(std::size_t n, std::uint64_t seed) {
 
   for (std::size_t s = 0; s < n; ++s) {
     const auto base = static_cast<std::size_t>(rng.uniform_index(train_n));
-    const auto neighbors = neighbors_of(base);
-    const std::size_t other =
-        neighbors.empty()
-            ? base
-            : neighbors[rng.uniform_index(neighbors.size())].index;
+    // The table row and neighbors_of(base) hold the same neighbours in the
+    // same order, so both paths draw the same `other` from the same rng.
+    std::size_t other = base;
+    if (!neighbor_table_.empty()) {
+      other = neighbor_table_[base * neighbor_width_ +
+                              rng.uniform_index(neighbor_width_)];
+    } else if (const auto neighbors = neighbors_of(base); !neighbors.empty()) {
+      other = neighbors[rng.uniform_index(neighbors.size())].index;
+    }
     const double u = rng.uniform();
 
     for (std::size_t k = 0; k < m; ++k) {
@@ -202,11 +226,12 @@ void Smote::load(std::istream& is) {
       }
     }
   }
-  // The k-d tree is a pure function of the numerical slice — rebuild it
-  // instead of shipping its internals (any warm-appended tail consolidates
-  // into the tree here as a side effect).
+  // The k-d tree and the neighbour table are pure functions of the
+  // numerical slice — rebuild them instead of shipping their internals (any
+  // warm-appended tail consolidates into the tree here as a side effect).
   tree_ = std::make_unique<knn::KdTree>(numerical_);
   indexed_rows_ = numerical_.rows();
+  build_neighbor_table();
   fitted_ = true;
 }
 

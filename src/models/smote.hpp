@@ -33,6 +33,9 @@ class Smote final : public TabularGenerator {
   /// quantile transforms and joined to the neighbour index as a brute-force
   /// tail; the k-d tree is only rebuilt once the tail outgrows the indexed
   /// base (amortized O(delta) per refresh instead of an O(n log n) refit).
+  /// The neighbour table is dropped, not rebuilt (a rebuild would query
+  /// every row against the brute-force tail), so sampling falls back to a
+  /// per-row neighbors_of() until the next load().
   using TabularGenerator::warm_fit;
   void warm_fit(const tabular::Table& delta,
                 const RefreshOptions& opts) override;
@@ -49,8 +52,9 @@ class Smote final : public TabularGenerator {
   void load(std::istream& is) override;
   [[nodiscard]] std::unique_ptr<TabularGenerator> clone() const override;
 
-  /// sample_chunk only reads the fitted state (k-d tree queries are const),
-  /// so chunks can run concurrently on one instance.
+  /// sample_chunk only reads the fitted state (the neighbour table, or k-d
+  /// tree queries, are const), so chunks can run concurrently on one
+  /// instance.
   [[nodiscard]] bool concurrent_sampling() const noexcept override {
     return true;
   }
@@ -63,6 +67,9 @@ class Smote final : public TabularGenerator {
   /// tail [indexed_rows_, n). Ascending by (distance, index).
   [[nodiscard]] std::vector<knn::Neighbor> neighbors_of(
       std::size_t base) const;
+  /// Fill neighbor_table_ with neighbors_of(b) for every row b, so
+  /// sampling draws from a row of the table instead of a k-NN query.
+  void build_neighbor_table();
 
   SmoteConfig cfg_;
   bool fitted_ = false;
@@ -71,6 +78,11 @@ class Smote final : public TabularGenerator {
   std::vector<std::vector<std::int32_t>> cat_codes_;  // per block, per row
   std::unique_ptr<knn::KdTree> tree_;  // covers rows [0, indexed_rows_)
   std::size_t indexed_rows_ = 0;
+  /// Row b's neighbours in neighbors_of(b) order, neighbor_width_ =
+  /// min(k, n − 1) per row. Empty after warm_fit (sampling then queries
+  /// neighbors_of per row); fit() and load() build it. Not archived.
+  std::vector<std::uint32_t> neighbor_table_;
+  std::size_t neighbor_width_ = 0;
 };
 
 }  // namespace surro::models

@@ -12,10 +12,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <thread>
 #include <vector>
 
+#include "net/page_codec.hpp"
 #include "util/json.hpp"
 #include "util/json_parse.hpp"
 
@@ -291,28 +291,6 @@ HttpResponse HttpClient::request(
 
 // --- ApiClient --------------------------------------------------------------
 
-namespace {
-
-/// A 2xx answer whose body does not decode is a transport-level failure
-/// (truncated or corrupt bytes), not a protocol refusal: surface it as
-/// TransportError{kMalformed} so callers never mistake it for job state.
-template <typename Fn>
-auto decode_or_malformed(const char* what, Fn&& fn) {
-  try {
-    return fn();
-  } catch (const ApiError&) {
-    throw;
-  } catch (const TransportError&) {
-    throw;
-  } catch (const std::exception& e) {
-    throw TransportError(
-        TransportError::Kind::kMalformed,
-        std::string("ApiClient: malformed ") + what + ": " + e.what());
-  }
-}
-
-}  // namespace
-
 ApiClient::ApiClient(std::string host, std::uint16_t port, std::string api_key,
                      double timeout_seconds)
     : http_(std::move(host), port, timeout_seconds),
@@ -325,10 +303,11 @@ ApiClient::ApiClient(std::string host, std::uint16_t port, std::string api_key,
 HttpResponse ApiClient::call(const std::string& method,
                              const std::string& target,
                              const std::string& body,
-                             double timeout_seconds) {
+                             double timeout_seconds, std::string_view accept) {
   std::map<std::string, std::string> headers;
   if (!api_key_.empty()) headers["x-api-key"] = api_key_;
   if (!body.empty()) headers["content-type"] = "application/json";
+  if (!accept.empty()) headers["accept"] = std::string(accept);
   HttpResponse response =
       http_.request(method, target, body, headers, timeout_seconds);
   if (response.status >= 200 && response.status < 300) return response;
@@ -388,7 +367,6 @@ RemoteResult ApiClient::wait_result(std::uint64_t job_id,
   const std::string base = "/v1/jobs/" + std::to_string(job_id);
   RemoteResult out;
   std::uint64_t cursor = 0;
-  bool have_schema = false;
 
   for (;;) {
     std::string target = base + "?cursor=" + std::to_string(cursor);
@@ -397,65 +375,49 @@ RemoteResult ApiClient::wait_result(std::uint64_t job_id,
       target += "&wait_ms=" +
                 std::to_string(static_cast<std::uint64_t>(poll_wait_ms));
     }
-    const HttpResponse response = call("GET", target);
+    const HttpResponse response =
+        call("GET", target, "", 0.0, kColblockContentType);
+    // Done pages come back as column blocks; pending and failed answers
+    // stay JSON.
     enum class Page { kPending, kMore, kDone };
-    std::uint64_t next_cursor = 0;
-    const Page page = decode_or_malformed("job page", [&]() -> Page {
-      const auto doc = util::parse_json(response.body);
-      const std::string status = doc.at("status").as_string();
-      if (status == "pending") return Page::kPending;  // long-poll timed out
-      if (status == "failed") {
-        const auto& err = doc.at("error");
-        throw ApiError(200, err.at("code").as_string(),
-                       err.at("message").as_string(), -1.0);
-      }
-
-      if (!have_schema) {
-        std::vector<tabular::ColumnSpec> specs;
-        for (const auto& col : doc.at("schema").array) {
-          tabular::ColumnSpec spec;
-          spec.name = col.at("name").as_string();
-          spec.kind = col.at("kind").as_string() == "numerical"
-                          ? tabular::ColumnKind::kNumerical
-                          : tabular::ColumnKind::kCategorical;
-          specs.push_back(std::move(spec));
+    const Page state = decode_or_malformed("job page", [&]() -> Page {
+      const auto type = response.headers.find("content-type");
+      if (type == response.headers.end() ||
+          !type->second.starts_with(kColblockContentType)) {
+        const auto doc = util::parse_json(response.body);
+        const std::string status = doc.at("status").as_string();
+        if (status == "pending") return Page::kPending;  // long-poll timed out
+        if (status == "failed") {
+          const auto& err = doc.at("error");
+          throw ApiError(200, err.at("code").as_string(),
+                         err.at("message").as_string(), -1.0);
         }
-        out.table = tabular::Table(tabular::Schema(std::move(specs)));
+        throw std::runtime_error("'" + status +
+                                 "' page is not in column blocks");
+      }
+      const DecodedPage page = decode_colblock_page(response.body);
+      if (page.cursor != cursor) {
+        throw std::runtime_error("page starts at row " +
+                                 std::to_string(page.cursor) + ", not " +
+                                 std::to_string(cursor));
+      }
+      if (out.pages == 0) {
+        const auto& doc = page.envelope;
+        out.table = tabular::Table(page.rows.schema());
         out.model_key = doc.at("model").as_string();
         out.queue_seconds = doc.number_or("queue_seconds", 0.0);
         out.sample_seconds = doc.number_or("sample_seconds", 0.0);
         out.total_seconds = doc.number_or("total_seconds", 0.0);
         out.cache_hit = doc.has("cache_hit") && doc.at("cache_hit").as_bool();
-        have_schema = true;
       }
-
-      const auto& schema = out.table.schema();
-      for (const auto& row : doc.at("data").array) {
-        if (row.array.size() != schema.num_columns()) {
-          throw std::runtime_error("row width mismatch");
-        }
-        auto rb = out.table.make_row();
-        for (std::size_t c = 0; c < row.array.size(); ++c) {
-          const auto& cell = row.array[c];
-          if (schema.column(c).kind == tabular::ColumnKind::kNumerical) {
-            // null is the JSON image of NaN (json_number degrades it).
-            rb.set(c, cell.is_null() ? std::numeric_limits<double>::quiet_NaN()
-                                     : cell.as_number());
-          } else {
-            rb.set(c, cell.as_string());
-          }
-        }
-        out.table.append_row(rb);
-      }
+      // One remap per dictionary label per page, then the codes in bulk.
+      out.table.append_table(page.rows);
       ++out.pages;
-
-      const auto& next = doc.at("next_cursor");
-      if (next.is_null()) return Page::kDone;
-      next_cursor = static_cast<std::uint64_t>(next.as_number());
+      if (!page.next_cursor) return Page::kDone;
+      cursor = *page.next_cursor;
       return Page::kMore;
     });
-    if (page == Page::kDone) break;
-    if (page == Page::kMore) cursor = next_cursor;
+    if (state == Page::kDone) break;
   }
   return out;
 }

@@ -22,6 +22,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "net/http.hpp"
 #include "tabular/table.hpp"
@@ -133,6 +134,24 @@ class ApiError : public std::runtime_error {
   double retry_after_;
 };
 
+/// Run a decoder over a 2xx answer. A body that does not decode is a
+/// transport-level failure (truncated or corrupt bytes), not a protocol
+/// refusal: any exception other than ApiError / TransportError leaves as
+/// TransportError{kMalformed}, so callers never mistake it for job state.
+template <typename Fn>
+auto decode_or_malformed(const char* what, Fn&& fn) {
+  try {
+    return fn();
+  } catch (const ApiError&) {
+    throw;
+  } catch (const TransportError&) {
+    throw;
+  } catch (const std::exception& e) {
+    throw TransportError(TransportError::Kind::kMalformed,
+                         std::string("malformed ") + what + ": " + e.what());
+  }
+}
+
 /// What ApiClient::wait_result reassembles from the paginated pages.
 struct RemoteResult {
   tabular::Table table;
@@ -163,7 +182,8 @@ class ApiClient {
                        int priority = 0, double deadline_ms = 0.0);
 
   /// Long-poll GET /v1/jobs/{id} until resolution, then page the rows
-  /// back into a Table. Throws ApiError with the job's error code when
+  /// back into a Table. Done pages are requested, and must arrive, as
+  /// column blocks (net/page_codec.hpp); a JSON done page is malformed. Throws ApiError with the job's error code when
   /// the job failed ("cancelled", "deadline", "shed", "execution").
   RemoteResult wait_result(std::uint64_t job_id, std::size_t page_rows = 0,
                            double poll_wait_ms = 1000.0);
@@ -187,9 +207,11 @@ class ApiClient {
  private:
   /// Issue + decode: non-2xx throws ApiError (parsing the error body).
   /// `timeout_seconds` > 0 overrides the client budget for this call.
+  /// `accept` non-empty sends it as the Accept header.
   HttpResponse call(const std::string& method, const std::string& target,
                     const std::string& body = "",
-                    double timeout_seconds = 0.0);
+                    double timeout_seconds = 0.0,
+                    std::string_view accept = {});
 
   HttpClient http_;
   std::string api_key_;

@@ -9,6 +9,7 @@
 
 #include "linalg/simd.hpp"
 #include "net/error_map.hpp"
+#include "net/page_codec.hpp"
 #include "util/json.hpp"
 #include "util/json_parse.hpp"
 
@@ -62,10 +63,6 @@ bool parse_seed(const util::JsonValue& v, std::uint64_t& out) {
     return parse_u64(v.string, out);
   }
   return number_as_size(v, out);
-}
-
-const char* column_kind_name(tabular::ColumnKind kind) noexcept {
-  return kind == tabular::ColumnKind::kNumerical ? "numerical" : "categorical";
 }
 
 }  // namespace
@@ -445,53 +442,28 @@ HttpResponse RestApi::handle_job_get(const HttpRequest& request,
                       "cursor " + std::to_string(cursor) + " past the " +
                           std::to_string(total) + "-row result");
   }
-  const std::uint64_t end = std::min(total, cursor + limit);
-
-  JsonWriter w;
-  w.begin_object();
-  w.kv("job_id", std::to_string(id));
-  w.kv("status", "done");
-  w.kv("model", entry->result.model_key);
-  w.kv("rows", total);
-  w.kv("seed", std::to_string(entry->params.seed));
-  w.kv("chunk_rows", static_cast<std::uint64_t>(entry->params.chunk_rows));
-  w.kv("cache_hit", entry->result.cache_hit);
-  w.kv("batch_jobs", static_cast<std::uint64_t>(entry->result.batch_jobs));
-  w.kv("queue_seconds", entry->result.queue_seconds);
-  w.kv("sample_seconds", entry->result.sample_seconds);
-  w.kv("total_seconds", entry->result.total_seconds);
-  w.kv("cursor", cursor);
-  if (end < total) {
-    w.kv("next_cursor", end);
-  } else {
-    w.key("next_cursor").null();
+  PageHeader header;
+  header.job_id = id;
+  header.model = entry->result.model_key;
+  header.seed = entry->params.seed;
+  header.chunk_rows = entry->params.chunk_rows;
+  header.cache_hit = entry->result.cache_hit;
+  header.batch_jobs = entry->result.batch_jobs;
+  header.queue_seconds = entry->result.queue_seconds;
+  header.sample_seconds = entry->result.sample_seconds;
+  header.total_seconds = entry->result.total_seconds;
+  header.cursor = cursor;
+  header.end = std::min(total, cursor + limit);
+  // Column blocks only for a client that names the type; everyone else
+  // (curl, the CLI's raw requests) keeps the JSON document.
+  if (request.header("accept").find(kColblockContentType) !=
+      std::string::npos) {
+    HttpResponse response;
+    response.headers["content-type"] = std::string(kColblockContentType);
+    response.body = encode_colblock_page(header, table);
+    return response;
   }
-  w.key("schema").begin_array();
-  for (std::size_t c = 0; c < table.num_columns(); ++c) {
-    w.begin_object();
-    w.kv("name", table.schema().column(c).name);
-    w.kv("kind", column_kind_name(table.schema().column(c).kind));
-    w.end_object();
-  }
-  w.end_array();
-  // Cells in schema column order: numerical as exact round-trip numbers
-  // (NaN degrades to null), categorical as labels. This is the payload the
-  // client rebuilds a Table from — the bytes behind the determinism digest.
-  w.key("data").begin_array();
-  for (std::uint64_t r = cursor; r < end; ++r) {
-    w.begin_array();
-    for (std::size_t c = 0; c < table.num_columns(); ++c) {
-      if (table.schema().column(c).kind == tabular::ColumnKind::kNumerical) {
-        w.value(table.numerical(c)[r]);
-      } else {
-        w.value(table.label_at(c, r));
-      }
-    }
-    w.end_array();
-  }
-  w.end_array();
-  w.end_object();
-  return HttpResponse::json(200, w.str());
+  return HttpResponse::json(200, encode_json_page(header, table));
 }
 
 HttpResponse RestApi::handle_job_delete(std::uint64_t id) {

@@ -1,6 +1,8 @@
 #pragma once
 // The REST API over serve::SampleService — the JSON face of the serving
-// layer. Routes (all JSON in, JSON out):
+// layer. Routes (all JSON in, JSON out, except that a done job page goes
+// out as binary column blocks when the request's Accept names
+// application/vnd.surro.colblock — see net/page_codec.hpp):
 //
 //   GET    /healthz          liveness (no auth, no quota)
 //   GET    /v1/models        registered model keys + residency

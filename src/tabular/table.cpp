@@ -181,6 +181,10 @@ void Table::append_table(const Table& other) {
     for (std::size_t c = 0; c < other.vocabs_[s].size(); ++c) {
       const auto& label = other.vocabs_[s][c];
       std::int32_t code = -1;
+      if (c < vocabs_[s].size() && vocabs_[s][c] == label) {
+        remap[c] = static_cast<std::int32_t>(c);
+        continue;
+      }
       for (std::size_t i = 0; i < vocabs_[s].size(); ++i) {
         if (vocabs_[s][i] == label) {
           code = static_cast<std::int32_t>(i);
@@ -198,6 +202,12 @@ void Table::append_table(const Table& other) {
     }
   }
   num_rows_ += other.num_rows_;
+}
+
+void Table::resize_rows(std::size_t n) {
+  for (auto& col : num_cols_) col.resize(n, 0.0);
+  for (auto& col : cat_cols_) col.resize(n, 0);
+  num_rows_ = n;
 }
 
 void Table::adopt_vocabulary(std::size_t col,

@@ -77,8 +77,16 @@ class Table {
   /// First n rows (n clamped to size).
   [[nodiscard]] Table head(std::size_t n) const;
   /// Append all rows of another table with an identical schema; vocabularies
-  /// are merged (codes are re-mapped as needed).
+  /// are merged (codes are re-mapped as needed). Each of `other`'s labels is
+  /// looked up once, at its own code first, so appending tables that share
+  /// a vocabulary costs O(cardinality) per column, not O(cardinality²).
   void append_table(const Table& other);
+
+  /// Resize every column to `n` rows. New numerical cells are 0.0 and new
+  /// codes 0, so a decoder that grows a table this way must overwrite every
+  /// new cell (numerical_mut / categorical_mut) and keep each code inside
+  /// its column's vocabulary.
+  void resize_rows(std::size_t n);
 
   /// Force a categorical column's vocabulary (e.g., to share label coding
   /// between real and synthetic tables). Existing codes must remain valid

@@ -5,7 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "models/ctabgan.hpp"
 #include "models/generator.hpp"
@@ -170,6 +175,99 @@ TEST(SmoteModel, SamplesStayNearTrainingManifold) {
   const auto synth = model.sample(1500, 9);
   for (const double v : synth.numerical(0)) {
     EXPECT_TRUE(v < 2.0 || v > 3.0) << "mid-gap sample at " << v;
+  }
+}
+
+/// Every numerical bit pattern and every categorical code of `a` and `b`
+/// agree (both tables come from one fitted encoder, so codes are comparable).
+void expect_bitwise_equal(const tabular::Table& a, const tabular::Table& b,
+                          const std::string& what) {
+  ASSERT_EQ(a.num_rows(), b.num_rows()) << what;
+  for (const std::size_t c : a.schema().numerical_indices()) {
+    for (std::size_t r = 0; r < a.num_rows(); ++r) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a.numerical(c)[r]),
+                std::bit_cast<std::uint64_t>(b.numerical(c)[r]))
+          << what << " column " << c << " row " << r;
+    }
+  }
+  for (const std::size_t c : a.schema().categorical_indices()) {
+    for (std::size_t r = 0; r < a.num_rows(); ++r) {
+      ASSERT_EQ(a.categorical(c)[r], b.categorical(c)[r])
+          << what << " column " << c << " row " << r;
+    }
+  }
+}
+
+/// `model` round-tripped through its archive: load() rebuilds the k-d tree
+/// over every row and the neighbour table.
+std::unique_ptr<Smote> reloaded(const Smote& model) {
+  std::stringstream archive;
+  model.save(archive);
+  auto copy = std::make_unique<Smote>();
+  copy->load(archive);
+  return copy;
+}
+
+TEST(SmoteModel, NeighbourTableSamplesWhatPerRowQueriesSample) {
+  // A warm_fit drops the neighbour table, so the warm model queries
+  // neighbors_of (k-d tree over the base + brute-force tail) per sampled
+  // row. Its archive reloads with a table built over all 400 rows. A stale
+  // or mis-ordered table would change the bytes.
+  const auto table = cluster_table(400, 31);
+  std::vector<std::size_t> head(300), tail(100);
+  for (std::size_t r = 0; r < 300; ++r) head[r] = r;
+  for (std::size_t r = 0; r < 100; ++r) tail[r] = 300 + r;
+  Smote warm;
+  warm.fit(table.select_rows(head));
+  warm.warm_fit(table.select_rows(tail));  // 100-row tail < 300: no rebuild
+  const auto loaded = reloaded(warm);
+
+  for (const std::uint64_t seed : {1ull, 7ull, 0xFEEDFACECAFEBEEFull}) {
+    for (const std::size_t chunk : {1u, 7u, 64u, 4096u}) {
+      SampleRequest request;
+      request.rows = 500;
+      request.seed = seed;
+      request.chunk_rows = chunk;
+      tabular::Table per_row(table.schema()), from_table(table.schema());
+      warm.sample_into(per_row, request);
+      loaded->sample_into(from_table, request);
+      expect_bitwise_equal(per_row, from_table,
+                           "seed " + std::to_string(seed) + " chunk " +
+                               std::to_string(chunk));
+    }
+  }
+}
+
+TEST(SmoteModel, NeighbourTableNarrowerThanKOnTinyFits) {
+  // k = 5 over 2 and 3 rows: every row has only n − 1 neighbours.
+  SmoteConfig cfg;
+  cfg.k_neighbors = 5;
+  const auto table = cluster_table(3, 41);
+
+  for (const std::size_t n : {2u, 3u}) {
+    const auto train = table.head(n);
+    Smote model(cfg);
+    model.fit(train);
+    const auto x = train.numerical(0);
+    const auto [lo, hi] = std::minmax_element(x.begin(), x.end());
+    const auto synth = model.sample(300, 5);
+    for (const double v : synth.numerical(0)) {
+      ASSERT_GE(v, *lo);
+      ASSERT_LE(v, *hi);
+    }
+    expect_bitwise_equal(synth, reloaded(model)->sample(300, 5),
+                         std::to_string(n) + " rows");
+  }
+
+  // 2 rows + a 1-row warm delta: the per-row path over 3 rows, then the
+  // table path over the same 3 rows after a reload.
+  Smote warm(cfg);
+  warm.fit(table.head(2));
+  warm.warm_fit(table.select_rows(std::vector<std::size_t>{2}));
+  const auto loaded = reloaded(warm);
+  for (const std::uint64_t seed : {3ull, 4ull, 5ull}) {
+    expect_bitwise_equal(warm.sample(200, seed), loaded->sample(200, seed),
+                         "warm 2+1 seed " + std::to_string(seed));
   }
 }
 

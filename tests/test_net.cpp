@@ -13,8 +13,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <optional>
@@ -26,6 +29,7 @@
 #include "net/auth.hpp"
 #include "net/client.hpp"
 #include "net/http.hpp"
+#include "net/page_codec.hpp"
 #include "net/rest.hpp"
 #include "net/server.hpp"
 #include "serve/model_host.hpp"
@@ -813,6 +817,351 @@ TEST(HttpServerLifecycle, StopWhileClientsConnectInALoop) {
     server.stop();  // idempotent
     EXPECT_EQ(server.stats().open_connections, 0u);
   }
+}
+
+// ------------------------------------------------------------ page codec --
+
+/// Mixed table whose cells stress the frame: NaN with a payload, ±inf,
+/// −0.0, subnormals, and labels that are empty or hold quotes, newlines
+/// and (unless `utf8_only`) 0xFF bytes. 23 rows.
+tabular::Table hostile_table(bool utf8_only = false) {
+  tabular::Schema schema({{"x", tabular::ColumnKind::kNumerical},
+                          {"label", tabular::ColumnKind::kCategorical},
+                          {"y", tabular::ColumnKind::kNumerical},
+                          {"status", tabular::ColumnKind::kCategorical}});
+  tabular::Table t(schema);
+  const double specials[] = {
+      std::bit_cast<double>(0x7FF8'0000'DEAD'BEEFull),  // quiet NaN, payload
+      std::bit_cast<double>(0xFFF0'0000'0000'0001ull),  // signalling -NaN
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min() * 7.0,
+      0.1,
+      -1e308};
+  const std::string labels[] = {"", "say \"hi\"", "two\nlines",
+                                utf8_only ? std::string("caf\xC3\xA9")
+                                          : std::string("\xFF\xFE\x00z", 4),
+                                "plain"};
+  util::Rng rng(99);
+  for (std::size_t r = 0; r < 23; ++r) {
+    auto row = t.make_row();
+    row.set(0, specials[r % std::size(specials)]);
+    row.set(1, labels[(r * 3) % std::size(labels)]);
+    row.set(2, rng.normal());
+    row.set(3, std::string(r % 4 == 0 ? "failed" : "finished"));
+    t.append_row(row);
+  }
+  return t;
+}
+
+PageHeader page_header(std::uint64_t cursor, std::uint64_t end) {
+  PageHeader h;
+  h.job_id = 42;
+  h.model = "smote";
+  h.seed = 0xFFFF'FFFF'FFFF'FFFFull;
+  h.chunk_rows = 64;
+  h.batch_jobs = 1;
+  h.total_seconds = 0.25;
+  h.cursor = cursor;
+  h.end = end;
+  return h;
+}
+
+/// Rows [lo, hi) of `t`, vocabularies kept.
+tabular::Table slice(const tabular::Table& t, std::size_t lo, std::size_t hi) {
+  std::vector<std::size_t> idx;
+  for (std::size_t r = lo; r < hi; ++r) idx.push_back(r);
+  return t.select_rows(idx);
+}
+
+void expect_same_bits(const tabular::Table& got, const tabular::Table& want) {
+  ASSERT_EQ(got.schema(), want.schema());
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  for (const std::size_t c : want.schema().numerical_indices()) {
+    for (std::size_t r = 0; r < want.num_rows(); ++r) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.numerical(c)[r]),
+                std::bit_cast<std::uint64_t>(want.numerical(c)[r]))
+          << "column " << c << " row " << r;
+    }
+  }
+  for (const std::size_t c : want.schema().categorical_indices()) {
+    EXPECT_EQ(got.vocabulary(c), want.vocabulary(c)) << "column " << c;
+    for (std::size_t r = 0; r < want.num_rows(); ++r) {
+      EXPECT_EQ(got.categorical(c)[r], want.categorical(c)[r])
+          << "column " << c << " row " << r;
+    }
+  }
+  EXPECT_EQ(serve::hash_table(got), serve::hash_table(want));
+}
+
+TEST(PageCodec, ColblockRoundTripsEveryBitOfEverySlice) {
+  const auto table = hostile_table();
+  struct Range {
+    std::size_t lo, hi;
+  };
+  // First page, middle page, last short page, a 1-row page, the 1-row
+  // last page, and an empty page at the end of the result.
+  for (const Range range : {Range{0, 7}, Range{7, 14}, Range{21, 23},
+                            Range{5, 6}, Range{22, 23}, Range{23, 23}}) {
+    SCOPED_TRACE("rows [" + std::to_string(range.lo) + ", " +
+                 std::to_string(range.hi) + ")");
+    const std::string frame =
+        encode_colblock_page(page_header(range.lo, range.hi), table);
+    const DecodedPage page = decode_colblock_page(frame);
+    expect_same_bits(page.rows, slice(table, range.lo, range.hi));
+    EXPECT_EQ(page.cursor, range.lo);
+    EXPECT_EQ(page.next_cursor.has_value(), range.hi < table.num_rows());
+    EXPECT_EQ(page.envelope.at("seed").as_string(), "18446744073709551615");
+    EXPECT_FALSE(page.envelope.has("data"));
+  }
+
+  // Pages reassembled through Table::append_table give the whole table.
+  tabular::Table whole(table.schema());
+  for (std::size_t lo = 0; lo < table.num_rows(); lo += 7) {
+    const std::size_t hi = std::min<std::size_t>(lo + 7, table.num_rows());
+    whole.append_table(
+        decode_colblock_page(encode_colblock_page(page_header(lo, hi), table))
+            .rows);
+  }
+  expect_same_bits(whole, table);
+}
+
+TEST(PageCodec, JsonPageCarriesTheSameEnvelopeAndDegradesNonFinite) {
+  // JSON strings carry raw label bytes, and the strict parser refuses
+  // invalid UTF-8, so this page keeps to UTF-8 labels.
+  const auto table = hostile_table(/*utf8_only=*/true);
+  const auto header = page_header(7, 14);
+  const auto json = util::parse_json(encode_json_page(header, table));
+  const auto frame = decode_colblock_page(encode_colblock_page(header, table));
+  for (const auto& [field, value] : frame.envelope.object) {
+    ASSERT_TRUE(json.has(field)) << field;
+  }
+  EXPECT_EQ(json.object.size(), frame.envelope.object.size() + 1);  // data
+  const DecodedPage page = decode_json_page(json);
+  ASSERT_EQ(page.rows.num_rows(), 7u);
+  // Labels and finite numbers survive JSON; NaN and ±inf arrive as NaN.
+  for (std::size_t r = 0; r < 7; ++r) {
+    const double want = table.numerical(0)[7 + r];
+    const double got = page.rows.numerical(0)[r];
+    if (std::isfinite(want)) {
+      EXPECT_EQ(got, want) << r;
+    } else {
+      EXPECT_TRUE(std::isnan(got)) << r;
+    }
+    EXPECT_EQ(page.rows.label_at(1, r), table.label_at(1, 7 + r)) << r;
+  }
+}
+
+/// Decode `bytes`: success, or exactly TransportError{kMalformed}.
+/// Returns true on success.
+bool decodes_or_malformed(const std::string& bytes) {
+  try {
+    (void)decode_colblock_page(bytes);
+    return true;
+  } catch (const TransportError& e) {
+    EXPECT_EQ(e.kind(), TransportError::Kind::kMalformed) << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "untyped decode failure: " << e.what();
+  }
+  return false;
+}
+
+TEST(PageCodec, TruncationAndBitFlipsAreTypedMalformedNeverACrash) {
+  const auto table = hostile_table();
+  const std::string frame =
+      encode_colblock_page(page_header(7, 14), table);
+
+  // Every strict prefix is missing bytes some length promised.
+  for (std::size_t len = 0; len < frame.size(); ++len) {
+    EXPECT_FALSE(decodes_or_malformed(frame.substr(0, len))) << len;
+  }
+  EXPECT_TRUE(decodes_or_malformed(frame));
+  EXPECT_FALSE(decodes_or_malformed(frame + '\0'));  // trailing byte
+
+  // Seeded bit flips anywhere in the frame: 1–3 bits per case.
+  util::Rng rng(2024);
+  std::size_t decoded = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string bytes = frame;
+    const std::size_t flips = 1 + rng.uniform_index(3);
+    for (std::size_t f = 0; f < flips; ++f) {
+      const std::size_t bit = rng.uniform_index(bytes.size() * 8);
+      bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+    }
+    decoded += decodes_or_malformed(bytes) ? 1 : 0;
+  }
+  // Flips inside the numerical blocks still decode; the rest mostly fail.
+  EXPECT_GT(decoded, 0u);
+  EXPECT_LT(decoded, 2000u);
+}
+
+TEST(PageCodec, ValidationRejectsInconsistentFrames) {
+  const auto table = hostile_table();
+  const std::string good = encode_colblock_page(page_header(0, 7), table);
+  // Envelope length is the u32 after "SCOL" + version; rows and columns
+  // follow the envelope.
+  std::uint32_t env_len = 0;
+  std::memcpy(&env_len, good.data() + 5, 4);
+  const std::size_t rows_at = 9 + env_len;
+
+  auto patched = [&](std::size_t at, std::uint32_t value) {
+    std::string bytes = good;
+    for (int b = 0; b < 4; ++b) {
+      bytes[at + b] = static_cast<char>(value >> (8 * b));
+    }
+    return bytes;
+  };
+  EXPECT_FALSE(decodes_or_malformed(patched(rows_at, 6)));      // row count
+  {
+    // A self-consistent 6-row frame whose envelope claims 7 rows.
+    std::string bytes = encode_colblock_page(page_header(0, 6), table);
+    const auto at = bytes.find("\"next_cursor\":6");
+    ASSERT_NE(at, std::string::npos);
+    bytes[at + std::string("\"next_cursor\":").size()] = '7';
+    EXPECT_FALSE(decodes_or_malformed(bytes));
+  }
+  EXPECT_FALSE(decodes_or_malformed(patched(rows_at, 1u << 30)));
+  EXPECT_FALSE(decodes_or_malformed(patched(rows_at + 4, 3)));  // columns
+  {
+    std::string bytes = good;
+    bytes[rows_at + 8] = 1;  // first block claims categorical
+    EXPECT_FALSE(decodes_or_malformed(bytes));
+  }
+  {
+    std::string bytes = good;
+    bytes[4] = 2;  // unknown version
+    EXPECT_FALSE(decodes_or_malformed(bytes));
+  }
+  {
+    // A code at its dictionary size: the last code of the last block.
+    std::string bytes = good;
+    const std::uint32_t dict = 2;  // "failed", "finished"
+    for (int b = 0; b < 4; ++b) {
+      bytes[bytes.size() - 4 + b] = static_cast<char>(dict >> (8 * b));
+    }
+    EXPECT_FALSE(decodes_or_malformed(bytes));
+  }
+}
+
+// ----------------------------------------------------- page negotiation --
+
+HttpRequest page_get(const std::string& target, bool colblock) {
+  std::string wire = "GET " + target + " HTTP/1.1\r\nhost: t\r\n";
+  if (colblock) {
+    wire += "accept: " + std::string(kColblockContentType) + "\r\n";
+  }
+  wire += "\r\n";
+  return parse_request(wire);
+}
+
+/// Page job `job_id` through `api` at `limit` (0 = the server default),
+/// decoding whichever form each page arrives in.
+tabular::Table page_through(RestApi& api, const std::string& job_id,
+                            std::size_t limit, bool colblock) {
+  std::optional<tabular::Table> out;
+  std::uint64_t cursor = 0;
+  for (;;) {
+    std::string target = "/v1/jobs/" + job_id + "?wait_ms=30000&cursor=" +
+                         std::to_string(cursor);
+    if (limit != 0) target += "&limit=" + std::to_string(limit);
+    const auto response = api.handle(page_get(target, colblock));
+    EXPECT_EQ(response.status, 200) << response.body;
+    const std::string type = response.headers.at("content-type");
+    DecodedPage page;
+    if (colblock) {
+      EXPECT_EQ(type, kColblockContentType);
+      page = decode_colblock_page(response.body);
+    } else {
+      EXPECT_EQ(type, "application/json");
+      page = decode_json_page(util::parse_json(response.body));
+    }
+    if (!out) out.emplace(page.rows.schema());
+    out->append_table(page.rows);
+    if (!page.next_cursor) break;
+    cursor = *page.next_cursor;
+  }
+  return std::move(*out);
+}
+
+TEST(PageNegotiation, BinaryAndJsonPagesHashAlikeForEveryModel) {
+  TempDir dir;
+  serve::ModelHost host{serve::HostConfig{}};
+  const auto train = cluster_table(300, 21);
+  const std::vector<std::string> keys{"smote", "tvae", "ctabgan", "tabddpm"};
+  for (const auto& key : keys) {
+    auto model = models::make_generator(key, tiny_budget(), 7);
+    model->fit(train);
+    models::save_model_file(*model, dir.file(key + ".bin"));
+    host.register_archive(key, dir.file(key + ".bin"));
+  }
+  serve::SampleService service(host);
+  RestApi api(service);
+
+  for (const auto& key : keys) {
+    SCOPED_TRACE(key);
+    const auto submit = api.handle(json_post(
+        "/v1/sample",
+        R"({"model":")" + key + R"(","rows":23,"seed":"77","chunk_rows":8})"));
+    ASSERT_EQ(submit.status, 202) << submit.body;
+    const std::string job_id =
+        util::parse_json(submit.body).at("job_id").as_string();
+
+    tabular::Table local(train.schema());
+    models::SampleRequest request;
+    request.rows = 23;
+    request.seed = 77;
+    request.chunk_rows = 8;
+    host.acquire(key)->sample_into(local, request);
+    const std::uint64_t want = serve::hash_table(local);
+
+    for (const std::size_t limit : {1u, 7u, 0u}) {
+      for (const bool colblock : {false, true}) {
+        SCOPED_TRACE("limit " + std::to_string(limit) +
+                     (colblock ? " colblock" : " json"));
+        const auto got = page_through(api, job_id, limit, colblock);
+        EXPECT_EQ(got.num_rows(), 23u);
+        EXPECT_EQ(serve::hash_table(got), want);
+      }
+    }
+  }
+}
+
+TEST(PageNegotiation, PendingAndFailedAnswersStayJson) {
+  RestFixture fx;
+  // Pending: a 2M-row job answered at once, before it can finish.
+  const auto slow = fx.api->handle(json_post(
+      "/v1/sample", R"({"model":"smote","rows":2000000,"chunk_rows":64})"));
+  ASSERT_EQ(slow.status, 202) << slow.body;
+  const std::string slow_id =
+      util::parse_json(slow.body).at("job_id").as_string();
+  const auto pending =
+      fx.api->handle(page_get("/v1/jobs/" + slow_id, /*colblock=*/true));
+  EXPECT_EQ(pending.headers.at("content-type"), "application/json");
+  EXPECT_EQ(util::parse_json(pending.body).at("status").as_string(),
+            "pending");
+  (void)fx.api->handle(parse_request("DELETE /v1/jobs/" + slow_id +
+                                     " HTTP/1.1\r\n\r\n"));
+
+  // Failed: a deadline that passes before the first chunk boundary.
+  const auto doomed = fx.api->handle(json_post(
+      "/v1/sample",
+      R"({"model":"smote","rows":2000000,"chunk_rows":64,"deadline_ms":0.001})"));
+  ASSERT_EQ(doomed.status, 202) << doomed.body;
+  const std::string doomed_id =
+      util::parse_json(doomed.body).at("job_id").as_string();
+  const auto failed = fx.api->handle(
+      page_get("/v1/jobs/" + doomed_id + "?wait_ms=30000", true));
+  EXPECT_EQ(failed.headers.at("content-type"), "application/json");
+  const auto doc = util::parse_json(failed.body);
+  EXPECT_EQ(doc.at("status").as_string(), "failed");
+  EXPECT_EQ(doc.at("error").at("code").as_string(), "deadline");
+
+  // Errors stay JSON too.
+  const auto missing = fx.api->handle(page_get("/v1/jobs/999", true));
+  EXPECT_EQ(missing.status, 404);
+  EXPECT_EQ(missing.headers.at("content-type"), "application/json");
 }
 
 // ------------------------------------------------------------ socket soak --

@@ -3,8 +3,9 @@
 //   * Error-map round trip — the one shared ServiceError <-> wire-code <->
 //     HTTP-status table (src/net/error_map) maps every code there and back.
 //   * Transport-error taxonomy — connection refused, a server closing
-//     mid-response, a malformed 2xx body, and a timeout each surface as a
-//     typed net::TransportError of the right Kind; none hang or crash.
+//     mid-response, a malformed 2xx body (JSON or column-block page), and a
+//     timeout each surface as a typed net::TransportError of the right
+//     Kind; none hang or crash.
 //   * Graceful shutdown order — stop accepts first, then drain: every job
 //     admitted before the stop still completes (the serve --worker SIGTERM
 //     path, exercised here through the same loopback endpoint).
@@ -40,10 +41,12 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/client.hpp"
 #include "net/error_map.hpp"
+#include "net/page_codec.hpp"
 #include "net/rest.hpp"
 #include "serve/model_host.hpp"
 #include "serve/replay.hpp"
@@ -351,6 +354,34 @@ TEST(TransportErrors, MalformedBodyIsTypedMalformed) {
     FAIL() << "expected TransportError";
   } catch (const net::TransportError& e) {
     EXPECT_EQ(e.kind(), net::TransportError::Kind::kMalformed);
+  }
+}
+
+TEST(TransportErrors, DonePageNotInValidColumnBlocksIsTypedMalformed) {
+  // ApiClient asks for column blocks. A frame with one byte too many, or a
+  // done page answered as JSON, must be refused as malformed, never merged.
+  const auto table = cluster_table(10, 3);
+  net::PageHeader header;
+  header.job_id = 1;
+  header.model = "smote";
+  header.end = table.num_rows();
+  const std::pair<std::string, std::string> answers[] = {
+      {std::string(net::kColblockContentType),
+       net::encode_colblock_page(header, table) + "!"},
+      {"application/json", net::encode_json_page(header, table)}};
+  for (const auto& [type, body] : answers) {
+    SCOPED_TRACE(type);
+    OneShotServer server("HTTP/1.1 200 OK\r\ncontent-type: " + type +
+                         "\r\ncontent-length: " +
+                         std::to_string(body.size()) + "\r\n\r\n" + body);
+    net::ApiClient api("127.0.0.1", server.port(), "",
+                       net::ClientConfig{2.0, 1, 0.0, 0.0});
+    try {
+      (void)api.wait_result(1);
+      ADD_FAILURE() << "expected TransportError";
+    } catch (const net::TransportError& e) {
+      EXPECT_EQ(e.kind(), net::TransportError::Kind::kMalformed) << e.what();
+    }
   }
 }
 
