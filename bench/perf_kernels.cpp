@@ -1,16 +1,20 @@
 // Kernel + end-to-end perf ledger (BENCH_kernels.json). Runs every kernel
 // scenario under each available SIMD backend in one process (via
 // force_backend), times encode + decode of one result page in both wire
-// forms, measures end-to-end fit/sample throughput for the four
-// surrogate models, and verifies the thread-count bitwise-determinism
-// contract per backend. CI runs `--quick` and diffs scalar-vs-vectorized
-// throughput; see docs/PERFORMANCE.md for how to read the output.
+// forms and the two stages of a TabDDPM diffusion step (denoiser forward,
+// posterior) on a 16-row chunk, measures end-to-end fit/sample
+// throughput for the four surrogate models, and verifies the thread-count
+// bitwise-determinism contract per backend. CI runs `--quick` and diffs
+// scalar-vs-vectorized throughput; see docs/PERFORMANCE.md for how to read
+// the output.
 //
 // Exit status: 0 on success, 1 when any determinism check fails (the
 // ledger is still written so the failure can be inspected).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,6 +24,7 @@
 #include "linalg/ops.hpp"
 #include "linalg/simd.hpp"
 #include "models/generator.hpp"
+#include "models/tabddpm.hpp"
 #include "net/page_codec.hpp"
 #include "net/rest.hpp"
 #include "serve/replay.hpp"
@@ -141,16 +146,70 @@ tabular::Table pinned_table(std::size_t n) {
   return t;
 }
 
-/// One default-size result page (1,000 rows) of SMOTE samples over the
-/// quick PanDA corpus: the page smote-socket ships 20 of per job.
-tabular::Table smote_page_rows() {
+/// The first 2,000 training rows of the quick PanDA corpus (seed 42), the
+/// set-up perfbench fits its models on.
+tabular::Table panda_train() {
   eval::ExperimentConfig ec = eval::quick_experiment_config();
   ec.seed = 42;
   ec.data.seed = 42;
-  const auto train = eval::prepare_data(ec).train.head(2000);
+  return eval::prepare_data(ec).train.head(2000);
+}
+
+/// One default-size result page (1,000 rows) of SMOTE samples over the
+/// quick PanDA corpus: the page smote-socket ships 20 of per job.
+tabular::Table smote_page_rows(const tabular::Table& panda) {
   auto model = models::make_generator("smote", {}, 42);
-  model->fit(train);
+  model->fit(panda);
   return model->sample(net::RestConfig{}.page_rows, 7);
+}
+
+/// TabDDPM with ddpm-inproc's one-epoch budget on the PanDA corpus: 4
+/// numericals, blocks of 45/12/5/20/4 categories, T = 50.
+std::unique_ptr<models::TabularGenerator> panda_tabddpm(
+    const tabular::Table& panda) {
+  models::TrainBudget budget;
+  budget.epochs = 1;
+  budget.batch_size = 256;
+  auto model = models::make_generator("tabddpm", budget, 42);
+  model->fit(panda);
+  return model;
+}
+
+/// The two stages of one TabDDPM diffusion step on a 16-row chunk (the
+/// service's chunk in ddpm-inproc): the denoiser forward and the
+/// numerical + multinomial posterior. Best-of-reps mean over the T steps of
+/// a fresh chain, as sample_chunk runs it (a chain run past t = 1 again is
+/// in a state sampling never reaches, and times differently); `seconds` is
+/// per step, throughput counts steps per second.
+void run_ddpm_stages(const Scenario& sc, const std::string& backend,
+                     const models::TabDdpm& model,
+                     std::vector<KernelRow>& rows) {
+  constexpr std::size_t kRows = 16;
+  const std::size_t steps = model.alpha_bar().size() - 1;
+  util::Rng rng(11);
+  double forward_s = 1e300;
+  double posterior_s = 1e300;
+  for (int rep = 0; rep <= sc.reps; ++rep) {  // rep 0 warms up
+    models::TabDdpm::Chain chain(model, kRows, rng);
+    double forward = 0.0;
+    double posterior = 0.0;
+    for (std::size_t t = steps; t >= 1; --t) {
+      auto t0 = Clock::now();
+      chain.forward(t);
+      forward += seconds_since(t0);
+      t0 = Clock::now();
+      chain.posterior(t, rng);
+      posterior += seconds_since(t0);
+    }
+    if (rep == 0) continue;
+    forward_s = std::min(forward_s, forward / static_cast<double>(steps));
+    posterior_s =
+        std::min(posterior_s, posterior / static_cast<double>(steps));
+  }
+  rows.push_back({"ddpm_step_forward", backend, forward_s, 1.0 / forward_s,
+                  "steps_per_sec"});
+  rows.push_back({"ddpm_step_posterior", backend, posterior_s,
+                  1.0 / posterior_s, "steps_per_sec"});
 }
 
 /// Encode + decode of one result page in each wire form, rows per second.
@@ -349,7 +408,10 @@ int main(int argc, char** argv) {
               simd::backend_name(startup));
 
   const auto train = pinned_table(sc.fit_rows);
-  const auto page = smote_page_rows();
+  const auto panda = panda_train();
+  const auto page = smote_page_rows(panda);
+  const auto ddpm_model = panda_tabddpm(panda);
+  const auto& ddpm = dynamic_cast<const models::TabDdpm&>(*ddpm_model);
   const auto model_keys = models::GeneratorRegistry::instance().keys();
 
   std::vector<KernelRow> kernel_rows;
@@ -362,9 +424,14 @@ int main(int argc, char** argv) {
     std::printf("-- backend %s: kernels\n", name.c_str());
     auto rows = run_kernels(sc, name);
     run_page_codecs(sc, name, page, rows);
+    run_ddpm_stages(sc, name, ddpm, rows);
     for (const auto& r : rows) {
-      std::printf("   %-14s %10.3f %s\n", r.name.c_str(), r.throughput,
+      std::printf("   %-19s %10.3f %s", r.name.c_str(), r.throughput,
                   r.unit.c_str());
+      if (r.unit == "steps_per_sec") {
+        std::printf(" (%.1f us per 16-row step)", r.seconds * 1e6);
+      }
+      std::printf("\n");
       if (r.name == "gemm") {
         if (b == simd::Backend::kScalar) gemm_gflops_scalar = r.throughput;
         if (b == startup) gemm_gflops_active = r.throughput;

@@ -24,6 +24,18 @@ std::uint64_t derive_chunk_seed(std::uint64_t seed,
   return util::splitmix64(state);
 }
 
+tabular::Table assemble_chunks(std::vector<tabular::Table>& chunks,
+                               std::size_t rows) {
+  if (chunks.empty()) return {};
+  tabular::Table out = std::move(chunks.front());
+  out.reserve_rows(rows);
+  for (std::size_t c = 1; c < chunks.size(); ++c) {
+    out.append_table(chunks[c]);
+    chunks[c] = {};
+  }
+  return out;
+}
+
 // ------------------------------------------------------- TabularGenerator --
 
 void TabularGenerator::warm_fit(const tabular::Table& /*delta*/,
@@ -89,12 +101,10 @@ void TabularGenerator::sample_into(tabular::Table& out,
     pool.wait(group);
   }
 
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    if (out.num_columns() == 0 && c == 0) {
-      out = std::move(chunks[0]);
-    } else {
-      out.append_table(chunks[c]);
-    }
+  if (out.num_columns() == 0) {
+    out = assemble_chunks(chunks, request.rows);
+  } else {
+    out.append_table(assemble_chunks(chunks, request.rows));
   }
 }
 

@@ -113,6 +113,13 @@ struct SampleRequest {
 [[nodiscard]] std::uint64_t derive_chunk_seed(std::uint64_t seed,
                                               std::uint64_t chunk_index);
 
+/// Concatenate sampled chunks (`rows` rows in all) in chunk order into one
+/// table with room for exactly `rows`: the first chunk's columns and
+/// vocabularies are moved in, the rest appended. Chunks are left
+/// moved-from.
+[[nodiscard]] tabular::Table assemble_chunks(
+    std::vector<tabular::Table>& chunks, std::size_t rows);
+
 /// The common interface of every surrogate model (paper Sec. IV-A): learn
 /// a mixed-type Table's joint distribution (fit / warm_fit), synthesize
 /// schema-identical rows (sample_into — chunked, parallel, bitwise

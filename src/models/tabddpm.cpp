@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
+#include "linalg/simd.hpp"
 #include "nn/losses.hpp"
 #include "util/logging.hpp"
 #include "util/mathx.hpp"
@@ -32,27 +34,95 @@ void TabDdpm::embed_time(std::size_t t, float* out) const {
   if (cfg_.time_embed_dim % 2 != 0) out[2 * half] = 0.0f;
 }
 
-void TabDdpm::build_schedule() {
-  // Cosine ᾱ schedule (Nichol & Dhariwal), converted to per-step betas.
-  const std::size_t T = cfg_.timesteps;
-  alpha_bar_.resize(T + 1);
+DdpmSchedule DdpmSchedule::cosine(std::size_t timesteps) {
+  const std::size_t T = timesteps;
   const auto f = [](double u) {
     const double s = 0.008;
     const double v = std::cos((u + s) / (1.0 + s) * util::kPi / 2.0);
     return v * v;
   };
+  DdpmSchedule out;
+  out.alpha_bar.resize(T + 1);
   for (std::size_t t = 0; t <= T; ++t) {
-    alpha_bar_[t] = f(static_cast<double>(t) / static_cast<double>(T)) /
-                    f(0.0);
+    out.alpha_bar[t] = f(static_cast<double>(t) / static_cast<double>(T)) /
+                       f(0.0);
   }
-  betas_.resize(T);
-  alphas_.resize(T);
+  out.betas.resize(T);
+  out.alphas.resize(T);
   for (std::size_t t = 0; t < T; ++t) {
-    const double beta =
-        std::clamp(1.0 - alpha_bar_[t + 1] / alpha_bar_[t], 1e-5, 0.999);
-    betas_[t] = beta;
-    alphas_[t] = 1.0 - beta;
+    const double beta = std::clamp(
+        1.0 - out.alpha_bar[t + 1] / out.alpha_bar[t], 1e-5, 0.999);
+    out.betas[t] = beta;
+    out.alphas[t] = 1.0 - beta;
   }
+  return out;
+}
+
+void ddpm_step_bias(const nn::Linear& first, std::span<const float> temb,
+                    float* out) {
+  const auto& kern = linalg::simd::kernels();
+  const std::size_t h = first.out_dim();
+  const float* w = first.weight().value.data() +
+                   (first.in_dim() - temb.size()) * h;
+  std::copy_n(first.bias().value.data(), h, out);
+  for (std::size_t k = 0; k < temb.size(); ++k) {
+    kern.axpy_f32(temb[k], w + k * h, out, h);
+  }
+}
+
+void ddpm_first_layer(const nn::Linear& first, const float* step_bias,
+                      std::span<const float> num,
+                      std::span<const std::uint32_t> codes,
+                      std::span<const preprocess::CategoricalBlock> blocks,
+                      float* out) {
+  const auto& kern = linalg::simd::kernels();
+  const std::size_t h = first.out_dim();
+  const float* w = first.weight().value.data();
+  std::copy_n(step_bias, h, out);
+  for (std::size_t j = 0; j < num.size(); ++j) {
+    kern.axpy_f32(num[j], w + j * h, out, h);
+  }
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    kern.add_f32(out, w + (blocks[b].offset + codes[b]) * h, out, h);
+  }
+}
+
+float ddpm_block_posterior(float* logits, std::size_t k, std::uint32_t cur,
+                           float alpha_t, float alpha_bar_prev, float* post) {
+  // x − x is 0 for every finite x and NaN otherwise. The check must come
+  // first: the vector exp clamps a NaN input to a finite value, so the
+  // softmax alone would hide it.
+  float finite = 0.0f;
+  for (std::size_t j = 0; j < k; ++j) finite += logits[j] - logits[j];
+  if (finite != 0.0f) return std::numeric_limits<float>::quiet_NaN();
+  linalg::simd::kernels().softmax_row_f32(logits, k);
+  const float unif = 1.0f / static_cast<float>(k);
+  const float like_other = (1.0f - alpha_t) * unif;
+  const float prior_unif = (1.0f - alpha_bar_prev) * unif;
+  for (std::size_t j = 0; j < k; ++j) {
+    post[j] = like_other * (alpha_bar_prev * logits[j] + prior_unif);
+  }
+  // The current category's likelihood adds α_t to the uniform share.
+  post[cur] += alpha_t * (alpha_bar_prev * logits[cur] + prior_unif);
+  float total = 0.0f;
+  for (std::size_t j = 0; j < k; ++j) total += post[j];
+  return total;
+}
+
+std::uint32_t ddpm_draw_code(std::span<const float> post, float total,
+                             std::uint32_t cur, util::Rng& rng) {
+  if (!(total > 0.0f) || !std::isfinite(total)) return cur;
+  double r = rng.uniform() * static_cast<double>(total);
+  // Rounding can leave r >= 0 past the last weight: fall back to the last
+  // category with positive weight, never to one the posterior rules out.
+  std::uint32_t last = cur;
+  for (std::size_t j = 0; j < post.size(); ++j) {
+    if (!(post[j] > 0.0f)) continue;
+    last = static_cast<std::uint32_t>(j);
+    r -= static_cast<double>(post[j]);
+    if (r < 0.0) break;
+  }
+  return last;
 }
 
 void TabDdpm::fit(const tabular::Table& train, const FitOptions& opts) {
@@ -61,7 +131,7 @@ void TabDdpm::fit(const tabular::Table& train, const FitOptions& opts) {
   const std::size_t width = encoder_.encoded_width();
   const std::size_t in_dim = width + cfg_.time_embed_dim;
 
-  build_schedule();
+  schedule_ = DdpmSchedule::cosine(cfg_.timesteps);
 
   net_ = nn::make_mlp(in_dim, cfg_.hidden, width, nn::Activation::kSiLU,
                       rng_);
@@ -128,7 +198,7 @@ void TabDdpm::train_epochs(const linalg::Matrix& data, std::size_t epochs,
         const std::size_t t =
             static_cast<std::size_t>(rng_.uniform_index(T)) + 1;  // 1..T
         ts[r] = t;
-        const double ab = alpha_bar_[t];
+        const double ab = schedule_.alpha_bar[t];
         const double sab = std::sqrt(ab);
         const double somb = std::sqrt(1.0 - ab);
         // Numerical forward: x_t = √ᾱ·x0 + √(1-ᾱ)·ε.
@@ -205,114 +275,113 @@ void TabDdpm::train_epochs(const linalg::Matrix& data, std::size_t epochs,
 tabular::Table TabDdpm::sample_chunk(std::size_t n, std::uint64_t seed) {
   if (!fitted_) throw std::logic_error("tabddpm: sample before fit");
   util::Rng rng(seed);
-  const std::size_t width = encoder_.encoded_width();
-  const std::size_t m = encoder_.num_numerical();
-  const std::size_t T = cfg_.timesteps;
-  const std::size_t chunk = 1024;
-
-  const std::size_t in_dim = width + cfg_.time_embed_dim;
-
+  constexpr std::size_t kChainRows = 1024;
   tabular::Table out_table = encoder_.make_empty_table();
-  linalg::Matrix x(chunk, width);          // current state (num + one-hot)
-  linalg::Matrix input;
-  std::vector<linalg::Matrix> scratch;     // this call's denoiser buffers
-  std::vector<float> temb(cfg_.time_embed_dim);
-  std::vector<double> post;
-
-  for (std::size_t off = 0; off < n; off += chunk) {
-    const std::size_t cur = std::min(chunk, n - off);
-    x.resize(cur, width);
-    // Init: numericals ~ N(0,1); categoricals ~ uniform one-hot.
-    x.zero();
-    for (std::size_t r = 0; r < cur; ++r) {
-      for (std::size_t j = 0; j < m; ++j) {
-        x(r, j) = static_cast<float>(rng.normal());
-      }
-      for (const auto& b : encoder_.blocks()) {
-        const std::size_t cat =
-            static_cast<std::size_t>(rng.uniform_index(b.cardinality));
-        x(r, b.offset + cat) = 1.0f;
-      }
+  for (std::size_t off = 0; off < n; off += kChainRows) {
+    Chain chain(*this, std::min(kChainRows, n - off), rng);
+    for (std::size_t t = cfg_.timesteps; t >= 1; --t) {
+      chain.forward(t);
+      chain.posterior(t, rng);
     }
-
-    input.resize(cur, in_dim);
-    for (std::size_t t = T; t >= 1; --t) {
-      // The embedding is the same for every row of a step: compute it once.
-      embed_time(t, temb.data());
-      for (std::size_t r = 0; r < cur; ++r) {
-        float* row = input.data() + r * in_dim;
-        std::copy_n(x.data() + r * width, width, row);
-        std::copy(temb.begin(), temb.end(), row + width);
-      }
-      const linalg::Matrix& pred = net_.infer(input, scratch);
-
-      const double ab_t = alpha_bar_[t];
-      const double ab_prev = alpha_bar_[t - 1];
-      const double alpha_t = alphas_[t - 1];
-      const double beta_t = betas_[t - 1];
-      const double inv_sqrt_alpha = 1.0 / std::sqrt(alpha_t);
-      const double eps_coef = beta_t / std::sqrt(1.0 - ab_t);
-      const double sigma = std::sqrt(
-          beta_t * (1.0 - ab_prev) / (1.0 - ab_t));
-
-      for (std::size_t r = 0; r < cur; ++r) {
-        // Gaussian ancestral step on the numerical slice.
-        for (std::size_t j = 0; j < m; ++j) {
-          const double mean =
-              inv_sqrt_alpha *
-              (static_cast<double>(x(r, j)) -
-               eps_coef * static_cast<double>(pred(r, j)));
-          const double noise = t > 1 ? rng.normal() * sigma : 0.0;
-          x(r, j) = static_cast<float>(mean + noise);
-        }
-        // Multinomial posterior step per categorical block.
-        for (const auto& b : encoder_.blocks()) {
-          const std::size_t K = b.cardinality;
-          // Current one-hot category of x_t.
-          std::size_t cur_cat = 0;
-          for (std::size_t j = 0; j < K; ++j) {
-            if (x(r, b.offset + j) > 0.5f) {
-              cur_cat = j;
-              break;
-            }
-          }
-          // x̂0 probabilities from predicted logits (stable softmax).
-          post.assign(K, 0.0);
-          float peak = pred(r, b.offset);
-          for (std::size_t j = 1; j < K; ++j) {
-            peak = std::max(peak, pred(r, b.offset + j));
-          }
-          double denom = 0.0;
-          for (std::size_t j = 0; j < K; ++j) {
-            post[j] = std::exp(
-                static_cast<double>(pred(r, b.offset + j) - peak));
-            denom += post[j];
-          }
-          const double unif = 1.0 / static_cast<double>(K);
-          double norm = 0.0;
-          for (std::size_t j = 0; j < K; ++j) {
-            const double x0_prob = post[j] / denom;
-            const double like =
-                (j == cur_cat ? alpha_t : 0.0) + (1.0 - alpha_t) * unif;
-            const double prior = ab_prev * x0_prob + (1.0 - ab_prev) * unif;
-            post[j] = like * prior;
-            norm += post[j];
-          }
-          std::size_t next_cat = cur_cat;
-          if (norm > 0.0) {
-            next_cat = rng.categorical(post);
-          }
-          for (std::size_t j = 0; j < K; ++j) {
-            x(r, b.offset + j) = j == next_cat ? 1.0f : 0.0f;
-          }
-        }
-      }
-    }
-    // x now holds x_0 estimates: numericals in quantile space, categoricals
-    // as one-hots — decode with argmax (already hard).
-    out_table.append_table(encoder_.decode(x, nullptr));
+    out_table.append_table(chain.decode());
   }
   return out_table;
+}
+
+TabDdpm::Chain::Chain(const TabDdpm& model, std::size_t rows,
+                      util::Rng& rng)
+    : model_(model),
+      first_(dynamic_cast<const nn::Linear&>(model.net_.layer(0))),
+      rows_(rows) {
+  const auto& blocks = model_.encoder_.blocks();
+  const std::size_t m = model_.encoder_.num_numerical();
+  num_.resize(rows * m);
+  codes_.resize(rows * blocks.size());
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t j = 0; j < m; ++j) {
+      num_[r * m + j] = static_cast<float>(rng.normal());
+    }
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      codes_[r * blocks.size() + b] = static_cast<std::uint32_t>(
+          rng.uniform_index(blocks[b].cardinality));
+    }
+  }
+  std::size_t widest = 1;
+  for (const auto& b : blocks) widest = std::max(widest, b.cardinality);
+  temb_.resize(model_.cfg_.time_embed_dim);
+  step_bias_.resize(first_.out_dim());
+  hidden_.resize(rows, first_.out_dim());
+  logits_.resize(widest);
+  post_.resize(widest);
+}
+
+void TabDdpm::Chain::forward(std::size_t t) {
+  const auto& blocks = model_.encoder_.blocks();
+  const std::size_t m = model_.encoder_.num_numerical();
+  const std::size_t h = first_.out_dim();
+  // The time embedding is the same for every row of a step: fold it, with
+  // the bias, into one per-step bias.
+  model_.embed_time(t, temb_.data());
+  ddpm_step_bias(first_, temb_, step_bias_.data());
+  for (std::size_t r = 0; r < rows_; ++r) {
+    ddpm_first_layer(first_, step_bias_.data(), {num_.data() + r * m, m},
+                     {codes_.data() + r * blocks.size(), blocks.size()},
+                     blocks, hidden_.data() + r * h);
+  }
+  pred_ = &model_.net_.infer(hidden_, scratch_, /*first=*/1);
+}
+
+void TabDdpm::Chain::posterior(std::size_t t, util::Rng& rng) {
+  const auto& blocks = model_.encoder_.blocks();
+  const std::size_t m = model_.encoder_.num_numerical();
+  const std::size_t width = model_.encoder_.encoded_width();
+  const DdpmSchedule& s = model_.schedule_;
+  const double ab_t = s.alpha_bar[t];
+  const double ab_prev = s.alpha_bar[t - 1];
+  const double alpha_t = s.alphas[t - 1];
+  const double beta_t = s.betas[t - 1];
+  const double inv_sqrt_alpha = 1.0 / std::sqrt(alpha_t);
+  const double eps_coef = beta_t / std::sqrt(1.0 - ab_t);
+  const double sigma = std::sqrt(beta_t * (1.0 - ab_prev) / (1.0 - ab_t));
+  const auto alpha_f = static_cast<float>(alpha_t);
+  const auto ab_prev_f = static_cast<float>(ab_prev);
+
+  for (std::size_t r = 0; r < rows_; ++r) {
+    const float* pred = pred_->data() + r * width;
+    // Gaussian ancestral step on the numerical slice.
+    float* x = num_.data() + r * m;
+    for (std::size_t j = 0; j < m; ++j) {
+      const double mean =
+          inv_sqrt_alpha * (static_cast<double>(x[j]) -
+                            eps_coef * static_cast<double>(pred[j]));
+      const double noise = t > 1 ? rng.normal() * sigma : 0.0;
+      x[j] = static_cast<float>(mean + noise);
+    }
+    // Multinomial posterior step per categorical block.
+    std::uint32_t* codes = codes_.data() + r * blocks.size();
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      const std::size_t k = blocks[b].cardinality;
+      std::copy_n(pred + blocks[b].offset, k, logits_.data());
+      const float total = ddpm_block_posterior(
+          logits_.data(), k, codes[b], alpha_f, ab_prev_f, post_.data());
+      codes[b] = ddpm_draw_code({post_.data(), k}, total, codes[b], rng);
+    }
+  }
+}
+
+tabular::Table TabDdpm::Chain::decode() const {
+  const auto& blocks = model_.encoder_.blocks();
+  const std::size_t m = model_.encoder_.num_numerical();
+  // Numericals are x_0 in quantile space; the codes become hard one-hots,
+  // which the encoder's argmax decodes back to the codes.
+  linalg::Matrix x(rows_, model_.encoder_.encoded_width());
+  for (std::size_t r = 0; r < rows_; ++r) {
+    std::copy_n(num_.data() + r * m, m, x.row(r).data());
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      x(r, blocks[b].offset + codes_[r * blocks.size() + b]) = 1.0f;
+    }
+  }
+  return model_.encoder_.decode(x, nullptr);
 }
 
 std::vector<double> TabDdpm::anomaly_scores(const tabular::Table& rows,
@@ -343,7 +412,7 @@ std::vector<double> TabDdpm::anomaly_scores(const tabular::Table& rows,
   for (std::size_t p = 0; p < probes; ++p) {
     const std::size_t t =
         1 + (T - 1) * (p + 1) / (probes + 1);
-    const double ab = alpha_bar_[t];
+    const double ab = schedule_.alpha_bar[t];
     const double sab = std::sqrt(ab);
     const double somb = std::sqrt(1.0 - ab);
     embed_time(t, temb.data());
@@ -454,7 +523,7 @@ void TabDdpm::load(std::istream& is) {
     opt_steps_ = static_cast<std::size_t>(util::io::read_u64(is));
     rng_.load(is);
   }
-  build_schedule();
+  schedule_ = DdpmSchedule::cosine(cfg_.timesteps);
   fitted_ = true;
 }
 

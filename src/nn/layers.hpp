@@ -79,6 +79,10 @@ class Linear final : public Layer {
   [[nodiscard]] std::size_t out_dim() const noexcept { return out_dim_; }
   [[nodiscard]] Param& weight() noexcept { return w_; }
   [[nodiscard]] Param& bias() noexcept { return b_; }
+  /// Read-only views for callers that apply the layer themselves. W is
+  /// (in_dim, out_dim), so row k holds input k's weights contiguously.
+  [[nodiscard]] const Param& weight() const noexcept { return w_; }
+  [[nodiscard]] const Param& bias() const noexcept { return b_; }
 
  private:
   std::size_t in_dim_;

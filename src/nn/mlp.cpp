@@ -45,11 +45,15 @@ const linalg::Matrix& Mlp::forward(const linalg::Matrix& in, bool train) {
 }
 
 const linalg::Matrix& Mlp::infer(const linalg::Matrix& in,
-                                 std::vector<linalg::Matrix>& scratch) const {
+                                 std::vector<linalg::Matrix>& scratch,
+                                 std::size_t first) const {
   if (layers_.empty()) throw std::logic_error("mlp: empty network");
+  if (first >= layers_.size()) {
+    throw std::logic_error("mlp: infer starts past the last layer");
+  }
   scratch.resize(layers_.size());
   const linalg::Matrix* cur = &in;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
+  for (std::size_t i = first; i < layers_.size(); ++i) {
     layers_[i]->infer(*cur, scratch[i]);
     cur = &scratch[i];
   }

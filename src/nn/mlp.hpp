@@ -39,12 +39,15 @@ class Mlp {
   /// preceding forward(in, true).
   const linalg::Matrix& forward(const linalg::Matrix& in, bool train);
 
-  /// Inference through every layer into caller-owned `scratch` (one
-  /// activation buffer per layer, resized as needed). Reads the network
-  /// only, so threads that each own their scratch can share one Mlp. The
-  /// returned reference points into `scratch`.
+  /// Inference into caller-owned `scratch` (one activation buffer per
+  /// layer, resized as needed). Reads the network only, so threads that
+  /// each own their scratch can share one Mlp. The returned reference
+  /// points into `scratch`. `first` > 0 starts the pass at that layer, with
+  /// `in` standing for the output of layer first - 1 (a caller that
+  /// computes the first layers itself).
   const linalg::Matrix& infer(const linalg::Matrix& in,
-                              std::vector<linalg::Matrix>& scratch) const;
+                              std::vector<linalg::Matrix>& scratch,
+                              std::size_t first = 0) const;
 
   /// Backward from dL/d(output); returns dL/d(input) (valid until next call).
   /// Throws std::logic_error unless the last forward was a training one.

@@ -568,13 +568,8 @@ void SampleService::run_batch(std::vector<Pending> batch) {
     }
     try {
       SampleResult result;
-      for (auto& chunk : item.chunks) {
-        if (result.table.num_columns() == 0) {
-          result.table = std::move(chunk);
-        } else {
-          result.table.append_table(chunk);
-        }
-      }
+      result.table =
+          models::assemble_chunks(item.chunks, item.pending.job.rows);
       result.model_key = key;
       result.queue_seconds = dispatched_at - item.pending.submitted_at;
       result.batch_jobs = items.size();

@@ -210,6 +210,11 @@ void Table::resize_rows(std::size_t n) {
   num_rows_ = n;
 }
 
+void Table::reserve_rows(std::size_t n) {
+  for (auto& col : num_cols_) col.reserve(n);
+  for (auto& col : cat_cols_) col.reserve(n);
+}
+
 void Table::adopt_vocabulary(std::size_t col,
                              std::vector<std::string> vocab) {
   const std::size_t slot = slot_of(col, ColumnKind::kCategorical);

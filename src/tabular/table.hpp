@@ -88,6 +88,10 @@ class Table {
   /// its column's vocabulary.
   void resize_rows(std::size_t n);
 
+  /// Reserve storage for `n` rows in every column (no effect when n is not
+  /// above the current capacity), so appends up to n rows do not regrow.
+  void reserve_rows(std::size_t n);
+
   /// Force a categorical column's vocabulary (e.g., to share label coding
   /// between real and synthetic tables). Existing codes must remain valid
   /// (current vocabulary must be a prefix-compatible subset).

@@ -231,6 +231,28 @@ TEST_P(AllGeneratorsV2, SampleIntoReportsProgressAndAppends) {
   EXPECT_EQ(out.num_rows(), 400u);
 }
 
+TEST(SampleInto, AssembleChunksMatchesChunkByChunkAppends) {
+  // Chunks whose vocabularies disagree, as independently sampled chunks
+  // can: assembly must remap exactly like appending one by one.
+  std::vector<tabular::Table> chunks;
+  for (std::uint64_t seed : {31u, 32u, 33u}) {
+    chunks.push_back(cluster_table(40 + seed, seed));
+  }
+  ASSERT_TRUE(chunks[0].vocabulary(1) != chunks[1].vocabulary(1) ||
+              chunks[0].vocabulary(1) != chunks[2].vocabulary(1));
+  tabular::Table expected = chunks[0];
+  for (std::size_t c = 1; c < chunks.size(); ++c) {
+    expected.append_table(chunks[c]);
+  }
+  const std::size_t rows = expected.num_rows();
+  tabular::Table out = assemble_chunks(chunks, rows);
+  expect_tables_identical(expected, out);
+  EXPECT_EQ(out.vocabulary(1), expected.vocabulary(1));
+
+  std::vector<tabular::Table> none;
+  EXPECT_EQ(assemble_chunks(none, 0).num_columns(), 0u);
+}
+
 TEST(SampleInto, ThrowingProgressCallbackDoesNotWedgeThePool) {
   const auto train = cluster_table(200, 25);
   auto model = make_generator("smote", tiny_budget(), 7);

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,7 +18,9 @@
 #include "linalg/ops.hpp"
 #include "linalg/simd.hpp"
 #include "models/generator.hpp"
+#include "serve/model_host.hpp"
 #include "serve/replay.hpp"
+#include "serve/sample_service.hpp"
 #include "tabular/table.hpp"
 #include "util/rng.hpp"
 
@@ -521,6 +524,59 @@ TEST(SimdDeterminism, SampledBytesIdenticalAcrossThreadCounts) {
           << key << " backend=" << backend_name(backend);
       EXPECT_EQ(digests[0], digests[2])
           << key << " backend=" << backend_name(backend);
+    }
+  }
+}
+
+// The serving path assembles a job from the same chunks sample_into draws:
+// at ddpm-inproc's 16-row chunks the bytes must agree at every fan-out.
+TEST(SimdDeterminism, TabDdpmServiceBytesEqualSampleIntoAtChunk16) {
+  BackendGuard guard;
+  tabular::Schema schema({{"x", tabular::ColumnKind::kNumerical},
+                          {"site", tabular::ColumnKind::kCategorical},
+                          {"status", tabular::ColumnKind::kCategorical}});
+  tabular::Table train(schema);
+  util::Rng rng(67);
+  const char* sites[] = {"BNL", "CERN", "RAL", "TRIUMF", "NDGF"};
+  for (std::size_t i = 0; i < 300; ++i) {
+    auto row = train.make_row();
+    row.set(0, rng.normal());
+    row.set(1, std::string(sites[rng.uniform_index(5)]));
+    row.set(2, std::string(rng.bernoulli(0.8) ? "finished" : "failed"));
+    train.append_row(row);
+  }
+  models::TrainBudget budget;
+  budget.epochs = 2;
+  budget.batch_size = 64;
+
+  for (const Backend backend : available_backends()) {
+    force_backend(backend);
+    std::shared_ptr<models::TabularGenerator> model =
+        models::make_generator("tabddpm", budget, 7);
+    model->fit(train);
+    serve::ModelHost host;
+    host.register_fitted("tabddpm", model);
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      models::SampleRequest req;
+      req.rows = 250;  // 15 full chunks and a 10-row tail
+      req.seed = 31;
+      req.chunk_rows = 16;
+      req.threads = threads;
+      tabular::Table direct;
+      model->sample_into(direct, req);
+
+      serve::ServiceConfig cfg;
+      cfg.sample_threads = threads;
+      serve::SampleService service(host, cfg);
+      serve::SampleJob job;
+      job.model_key = "tabddpm";
+      job.rows = req.rows;
+      job.seed = req.seed;
+      job.chunk_rows = req.chunk_rows;
+      const tabular::Table served = service.sample(job);
+      ASSERT_EQ(served.num_rows(), req.rows);
+      EXPECT_EQ(serve::hash_table(served), serve::hash_table(direct))
+          << "threads " << threads << " backend=" << backend_name(backend);
     }
   }
 }

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -17,6 +18,8 @@
 #include "models/smote.hpp"
 #include "models/tabddpm.hpp"
 #include "models/tvae.hpp"
+#include "nn/layers.hpp"
+#include "preprocess/mixed_encoder.hpp"
 #include "util/rng.hpp"
 
 namespace surro::models {
@@ -366,6 +369,152 @@ TEST(TabDdpmModel, LearnsBimodalStructure) {
     in_gap += v > 1.8 && v < 3.2;
   }
   EXPECT_LT(in_gap, 90) << "too much probability mass between clusters";
+}
+
+// The PanDA encoder's layout: 4 numericals, then one-hot blocks of
+// 45/12/5/20/4 categories (90 encoded columns).
+std::vector<preprocess::CategoricalBlock> panda_blocks() {
+  std::vector<preprocess::CategoricalBlock> blocks;
+  std::size_t offset = 4;
+  for (const std::size_t k : {45u, 12u, 5u, 20u, 4u}) {
+    blocks.push_back({blocks.size(), offset, k});
+    offset += k;
+  }
+  return blocks;
+}
+
+TEST(TabDdpmSampler, GatherAddFirstLayerMatchesLinearOnTheOneHotRow) {
+  constexpr std::size_t kNum = 4, kWidth = 90, kTemb = 32, kHidden = 256;
+  const auto blocks = panda_blocks();
+  util::Rng rng(5);
+  nn::Linear first(kWidth + kTemb, kHidden, rng);
+  for (float& b : first.bias().value.flat()) {
+    b = static_cast<float>(rng.normal());
+  }
+  std::vector<float> num(kNum), temb(kTemb);
+  for (float& v : num) v = static_cast<float>(rng.normal());
+  for (float& v : temb) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  std::vector<std::uint32_t> codes;
+  for (const auto& b : blocks) {
+    codes.push_back(static_cast<std::uint32_t>(
+        rng.uniform_index(b.cardinality)));
+  }
+
+  std::vector<float> step_bias(kHidden), out(kHidden);
+  ddpm_step_bias(first, temb, step_bias.data());
+  linalg::Matrix row(1, kWidth + kTemb);
+  linalg::Matrix ref;
+  std::size_t cases = 0;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    for (std::uint32_t c = 0; c < blocks[b].cardinality; ++c) {
+      auto trial = codes;
+      trial[b] = c;
+      row.zero();
+      std::copy(num.begin(), num.end(), row.data());
+      for (std::size_t i = 0; i < blocks.size(); ++i) {
+        row(0, blocks[i].offset + trial[i]) = 1.0f;
+      }
+      std::copy(temb.begin(), temb.end(), row.data() + kWidth);
+      first.infer(row, ref);
+      ddpm_first_layer(first, step_bias.data(), num, trial, blocks,
+                       out.data());
+      for (std::size_t i = 0; i < kHidden; ++i) {
+        ASSERT_NEAR(out[i], ref(0, i), 1e-5f * (1.0f + std::abs(ref(0, i))))
+            << "block " << b << " code " << c << " unit " << i;
+      }
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 86u);
+}
+
+TEST(TabDdpmSampler, F32PosteriorMatchesADoubleReference) {
+  util::Rng rng(17);
+  std::vector<float> logits, post;
+  std::size_t cases = 0;
+  for (const std::size_t T : {50u, 100u}) {
+    const auto s = DdpmSchedule::cosine(T);
+    for (std::size_t t = 1; t <= T; ++t) {
+      const double alpha_t = s.alphas[t - 1];
+      const double ab_prev = s.alpha_bar[t - 1];
+      for (const std::size_t k : {1u, 2u, 4u, 5u, 12u, 20u, 45u, 100u}) {
+        logits.resize(k);
+        post.resize(k);
+        for (float& v : logits) v = static_cast<float>(3.0 * rng.normal());
+        const auto cur = static_cast<std::uint32_t>(rng.uniform_index(k));
+
+        // Reference: the same posterior in double from the same logits.
+        const float peak = *std::max_element(logits.begin(), logits.end());
+        std::vector<double> x0(k), ref(k);
+        double denom = 0.0;
+        for (std::size_t j = 0; j < k; ++j) {
+          x0[j] = std::exp(static_cast<double>(logits[j]) - peak);
+          denom += x0[j];
+        }
+        const double unif = 1.0 / static_cast<double>(k);
+        double norm = 0.0;
+        for (std::size_t j = 0; j < k; ++j) {
+          const double like =
+              (j == cur ? alpha_t : 0.0) + (1.0 - alpha_t) * unif;
+          const double prior = ab_prev * x0[j] / denom + (1.0 - ab_prev) * unif;
+          ref[j] = like * prior;
+          norm += ref[j];
+        }
+
+        const float total = ddpm_block_posterior(
+            logits.data(), k, cur, static_cast<float>(alpha_t),
+            static_cast<float>(ab_prev), post.data());
+        ASSERT_TRUE(std::isfinite(total) && total > 0.0f);
+        for (std::size_t j = 0; j < k; ++j) {
+          ASSERT_NEAR(post[j] / total, ref[j] / norm, 1e-5)
+              << "T " << T << " t " << t << " K " << k << " j " << j;
+        }
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 8u * 150u);
+}
+
+TEST(TabDdpmSampler, NonFiniteLogitKeepsTheCodeAndDrawsNothing) {
+  const auto s = DdpmSchedule::cosine(50);
+  const float bad[] = {std::numeric_limits<float>::quiet_NaN(),
+                       std::numeric_limits<float>::infinity(),
+                       -std::numeric_limits<float>::infinity()};
+  for (const std::size_t k : {1u, 5u, 12u, 45u}) {
+    for (const float v : bad) {
+      for (std::size_t pos = 0; pos < k; pos += 4) {
+        std::vector<float> logits(k, 0.5f), post(k);
+        logits[pos] = v;
+        const std::uint32_t cur = static_cast<std::uint32_t>(k - 1);
+        const float total = ddpm_block_posterior(
+            logits.data(), k, cur, static_cast<float>(s.alphas[10]),
+            static_cast<float>(s.alpha_bar[10]), post.data());
+        util::Rng rng(3);
+        util::Rng untouched(3);
+        EXPECT_EQ(ddpm_draw_code(post, total, cur, rng), cur)
+            << "K " << k << " logit " << v << " at " << pos;
+        EXPECT_EQ(rng.uniform(), untouched.uniform()) << "a draw was spent";
+      }
+    }
+  }
+}
+
+TEST(TabDdpmSampler, DrawFollowsTheWeightsAndSkipsZeroWeights) {
+  const std::vector<float> post = {0.0f, 1.0f, 0.0f, 3.0f, 0.0f};
+  util::Rng rng(23);
+  std::size_t hits[5] = {};
+  for (int i = 0; i < 4000; ++i) {
+    ++hits[ddpm_draw_code(post, 4.0f, 0, rng)];
+  }
+  EXPECT_EQ(hits[0] + hits[2] + hits[4], 0u);
+  EXPECT_NEAR(static_cast<double>(hits[3]) / 4000.0, 0.75, 0.03);
+  // A total above the weights' sum (rounding) falls back to the last
+  // category with positive weight.
+  util::Rng high(1);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_NE(ddpm_draw_code(post, 1e6f, 0, high), 4u);
+  }
 }
 
 }  // namespace

@@ -195,6 +195,22 @@ TEST(Table, AppendTableRemapsDifferentlyOrderedVocabularies) {
   EXPECT_EQ(b.cardinality(1), 3u);
 }
 
+TEST(Table, ReserveRowsLetsAppendsFillWithoutRegrowing) {
+  const Table chunk = small_table();
+  Table t = chunk;
+  t.reserve_rows(6 * chunk.num_rows());
+  const double* num = t.numerical(0).data();
+  const std::int32_t* codes = t.categorical(1).data();
+  for (int i = 0; i < 5; ++i) t.append_table(chunk);
+  ASSERT_EQ(t.num_rows(), 30u);
+  EXPECT_EQ(t.numerical(0).data(), num);
+  EXPECT_EQ(t.categorical(1).data(), codes);
+  EXPECT_EQ(t.label_at(1, 28), "c");
+  t.reserve_rows(1);  // below the size: no effect
+  EXPECT_EQ(t.num_rows(), 30u);
+  EXPECT_EQ(t.numerical(0).data(), num);
+}
+
 TEST(Table, AppendTableSchemaMismatchThrows) {
   Table a = small_table();
   Table b{Schema({{"q", ColumnKind::kNumerical}})};
