@@ -403,9 +403,10 @@ int main(int argc, char** argv) {
 
   const simd::Backend startup = simd::active_backend();
   const auto backends = simd::available_backends();
-  std::printf("perf_kernels: profile=%s active=%s\n",
-              bench::profile_name(opts.profile),
-              simd::backend_name(startup));
+  const char* gemm_tile = simd::gemm_tile_name(startup);
+  std::printf("perf_kernels: profile=%s active=%s gemm_tile=%s\n",
+              bench::profile_name(opts.profile), simd::backend_name(startup),
+              gemm_tile);
 
   const auto train = pinned_table(sc.fit_rows);
   const auto panda = panda_train();
@@ -459,6 +460,7 @@ int main(int argc, char** argv) {
   w.kv("schema_version", 1);
   w.kv("profile", bench::profile_name(opts.profile));
   w.kv("active_backend", simd::backend_name(startup));
+  w.kv("gemm_tile", gemm_tile);
   w.key("available_backends").begin_array();
   for (const simd::Backend b : backends) w.value(simd::backend_name(b));
   w.end_array();

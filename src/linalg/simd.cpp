@@ -7,12 +7,17 @@
 #include <stdexcept>
 #include <string>
 
+#include "linalg/simd_detail.hpp"
+
 namespace surro::linalg::simd {
 
 // Defined in simd_avx2.cpp / simd_neon.cpp. Each returns its kernel table
 // when that backend was compiled into this binary, nullptr otherwise.
 const Kernels* avx2_kernels_table() noexcept;
 const Kernels* neon_kernels_table() noexcept;
+// Defined in simd_avx512.cpp: the zmm GEMM tile when that TU was compiled
+// with AVX-512F, nullptr otherwise.
+detail::GemmBlockFn avx512_gemm_tile() noexcept;
 
 namespace {
 
@@ -154,9 +159,32 @@ bool cpu_has_avx2_fma() noexcept {
 #endif
 }
 
+bool cpu_has_avx512f() noexcept {
+#if defined(__x86_64__) || defined(_M_X64)
+  return __builtin_cpu_supports("avx512f");
+#else
+  return false;
+#endif
+}
+
+// The avx2 table as dispatched: simd_avx2.cpp's kernels with the zmm GEMM
+// tile in place of the ymm one when this CPU runs AVX-512F. Built once; the
+// tile is the same per-element FMA chain, so the backend keeps its name.
+const Kernels* avx2_table() noexcept {
+  static const Kernels* const table = []() -> const Kernels* {
+    const Kernels* base = avx2_kernels_table();
+    if (base == nullptr || !cpu_has_avx2_fma()) return nullptr;
+    static Kernels picked = *base;
+    if (const auto zmm = detail::gemm_tile_zmm8x32()) {
+      picked.gemm_block_f32 = zmm;
+    }
+    return &picked;
+  }();
+  return table;
+}
+
 Backend detect_best() noexcept {
-  if (avx2_kernels_table() != nullptr && cpu_has_avx2_fma())
-    return Backend::kAvx2;
+  if (avx2_table() != nullptr) return Backend::kAvx2;
   if (neon_kernels_table() != nullptr) return Backend::kNeon;
   return Backend::kScalar;
 }
@@ -166,7 +194,7 @@ const Kernels* table_for(Backend backend) noexcept {
     case Backend::kScalar:
       return &kScalarKernels;
     case Backend::kAvx2:
-      return cpu_has_avx2_fma() ? avx2_kernels_table() : nullptr;
+      return avx2_table();
     case Backend::kNeon:
       return neon_kernels_table();
   }
@@ -257,6 +285,22 @@ const char* active_backend_name() noexcept {
   return backend_name(active_backend());
 }
 
+const char* gemm_tile_name(Backend backend) noexcept {
+  const Kernels* table = table_for(backend);
+  if (table == nullptr) return "none";
+  switch (backend) {
+    case Backend::kScalar:
+      return "scalar";
+    case Backend::kAvx2:
+      return table->gemm_block_f32 == detail::gemm_tile_zmm8x32()
+                 ? "zmm8x32"
+                 : "ymm6x16";
+    case Backend::kNeon:
+      return "neon4x4";
+  }
+  return "none";
+}
+
 void force_backend(Backend backend) {
   const Kernels* table = table_for(backend);
   if (table == nullptr) {
@@ -281,5 +325,19 @@ const Kernels& kernels_for(Backend backend) {
   }
   return *table;
 }
+
+namespace detail {
+
+GemmBlockFn gemm_tile_ymm6x16() noexcept {
+  const Kernels* base = avx2_kernels_table();
+  return base != nullptr && cpu_has_avx2_fma() ? base->gemm_block_f32
+                                               : nullptr;
+}
+
+GemmBlockFn gemm_tile_zmm8x32() noexcept {
+  return cpu_has_avx512f() ? avx512_gemm_tile() : nullptr;
+}
+
+}  // namespace detail
 
 }  // namespace surro::linalg::simd

@@ -61,6 +61,14 @@ enum class Backend {
 /// version` / `serve` and embedded in stats artifacts.
 [[nodiscard]] const char* active_backend_name() noexcept;
 
+/// The GEMM register tile `backend`'s table runs: "scalar", "ymm6x16" or
+/// "zmm8x32" (avx2: the zmm tile when the CPU reports avx512f, picked once
+/// when the table is built), "neon4x4"; "none" when `backend` is
+/// unavailable. Every tile is the same per-element chain, so the tile never
+/// changes bytes; it is stamped next to the backend so ledger numbers can
+/// be read against the tile that produced them.
+[[nodiscard]] const char* gemm_tile_name(Backend backend) noexcept;
+
 /// Re-point the dispatch table at `backend` (must be available; throws
 /// std::invalid_argument otherwise). Intended for tests and benchmarks that
 /// A/B backends inside one process; production code should rely on the
@@ -92,7 +100,8 @@ struct Kernels {
   /// micro-kernel. Every output element is a chain seeded from C that, for
   /// each nonzero A value in ascending k, accumulates a[i][p] * b[p][j]:
   /// with std::fma on AVX2 (bitwise equal to that chain for finite
-  /// inputs), with mul-then-add on scalar and NEON. The chain depends only
+  /// inputs, in the ymm and the zmm tile alike), with mul-then-add on
+  /// scalar and NEON. The chain depends only
   /// on the element, so results are independent of how the caller chunks
   /// rows across threads; AVX2 bytes may differ from scalar by a few ULP.
   void (*gemm_block_f32)(const float* a, std::size_t lda, const float* b,

@@ -49,11 +49,13 @@ inline float hmax_ps(__m256 v) {
 }
 
 // Cephes-style exp for 8 floats (avx_mathfun lineage). Max error a couple
-// of ULP over the softmax-relevant range; inputs are pre-clamped.
+// of ULP over the softmax-relevant range; inputs are pre-clamped. The
+// clamp constant is the first operand: min/max return the second operand
+// when either is NaN, so a NaN input stays NaN, as std::exp's does.
 inline __m256 exp256_ps(__m256 x) {
   const __m256 one = _mm256_set1_ps(1.0f);
-  x = _mm256_min_ps(x, _mm256_set1_ps(88.3762626647949f));
-  x = _mm256_max_ps(x, _mm256_set1_ps(-88.3762626647949f));
+  x = _mm256_min_ps(_mm256_set1_ps(88.3762626647949f), x);
+  x = _mm256_max_ps(_mm256_set1_ps(-88.3762626647949f), x);
 
   __m256 fx = _mm256_fmadd_ps(x, _mm256_set1_ps(1.44269504088896341f),
                               _mm256_set1_ps(0.5f));

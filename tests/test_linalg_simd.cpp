@@ -17,6 +17,7 @@
 #include "linalg/matrix.hpp"
 #include "linalg/ops.hpp"
 #include "linalg/simd.hpp"
+#include "linalg/simd_detail.hpp"
 #include "models/generator.hpp"
 #include "serve/model_host.hpp"
 #include "serve/replay.hpp"
@@ -142,6 +143,36 @@ TEST(SimdKernels, AxpyFamilyBitwise) {
   }
 }
 
+// One GEMM micro-kernel under test: a backend's table entry, or one of the
+// x86 register tiles by name (so the tile this CPU does not dispatch to is
+// checked too).
+struct GemmUnderTest {
+  std::string name;
+  detail::GemmBlockFn fn;
+  bool fused;  // std::fma chain (x86 tiles) or mul-then-add (scalar, NEON)
+};
+
+// Every vector backend's table, then both x86 tiles. Sets `zmm_missing`
+// when this CPU cannot run the zmm tile, so the caller can say so.
+std::vector<GemmUnderTest> gemm_kernels_under_test(bool& zmm_missing) {
+  std::vector<GemmUnderTest> out;
+  for (const Backend backend : vector_backends()) {
+    out.push_back({backend_name(backend),
+                   kernels_for(backend).gemm_block_f32,
+                   backend == Backend::kAvx2});
+  }
+  if (const auto ymm = detail::gemm_tile_ymm6x16()) {
+    out.push_back({"ymm6x16", ymm, true});
+  }
+  const auto zmm = detail::gemm_tile_zmm8x32();
+  zmm_missing = zmm == nullptr;
+  if (!zmm_missing) out.push_back({"zmm8x32", zmm, true});
+  return out;
+}
+
+constexpr const char* kNoZmm =
+    "this CPU lacks avx512f: the zmm8x32 GEMM tile was not checked";
+
 // gemm_block is in the dot family: vector backends fuse multiply-add, so
 // agreement with scalar is close-with-tolerance, not bitwise. What IS
 // bitwise is thread-chunk independence, checked below: splitting the same
@@ -150,11 +181,11 @@ TEST(SimdKernels, AxpyFamilyBitwise) {
 TEST(SimdKernels, GemmBlockCloseToScalarAndChunkInvariant) {
   const Kernels& ref = kernels_for(Backend::kScalar);
   util::Rng rng(23);
-  const std::size_t ms[] = {1, 3, 4, 5, 6, 7, 9, 10, 12, 16};
-  const std::size_t ns[] = {1, 7, 8, 9, 17, 33, 90};
+  const std::size_t ms[] = {1, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 17};
+  const std::size_t ns[] = {1, 7, 8, 9, 17, 31, 33, 47, 90};
   const std::size_t ks[] = {1, 5, 64};
-  for (const Backend backend : vector_backends()) {
-    const Kernels& kern = kernels_for(backend);
+  bool zmm_missing = false;
+  for (const GemmUnderTest& kern : gemm_kernels_under_test(zmm_missing)) {
     for (const std::size_t m : ms) {
       for (const std::size_t n : ns) {
         for (const std::size_t k : ks) {
@@ -168,12 +199,11 @@ TEST(SimdKernels, GemmBlockCloseToScalarAndChunkInvariant) {
           auto c0 = cinit;
           auto c1 = cinit;
           ref.gemm_block_f32(a.data(), k, b.data(), n, c0.data(), n, m, k, n);
-          kern.gemm_block_f32(a.data(), k, b.data(), n, c1.data(), n, m, k,
-                              n);
+          kern.fn(a.data(), k, b.data(), n, c1.data(), n, m, k, n);
           for (std::size_t e = 0; e < m * n; ++e) {
             ASSERT_NEAR(c0[e], c1[e], 1e-4f * (1.0f + std::abs(c0[e])))
                 << "gemm_block m=" << m << " n=" << n << " k=" << k
-                << " backend=" << backend_name(backend);
+                << " kernel=" << kern.name;
           }
           // Chunk invariance: process rows [0,split) and [split,m) as two
           // calls — how parallel callers hand out row ranges — and require
@@ -181,20 +211,19 @@ TEST(SimdKernels, GemmBlockCloseToScalarAndChunkInvariant) {
           for (const std::size_t split : {std::size_t{1}, m / 2, m - 1}) {
             if (split == 0 || split >= m) continue;
             auto parts = cinit;
-            kern.gemm_block_f32(a.data(), k, b.data(), n, parts.data(), n,
-                                split, k, n);
-            kern.gemm_block_f32(a.data() + split * k, k, b.data(), n,
-                                parts.data() + split * n, n, m - split, k,
-                                n);
+            kern.fn(a.data(), k, b.data(), n, parts.data(), n, split, k, n);
+            kern.fn(a.data() + split * k, k, b.data(), n,
+                    parts.data() + split * n, n, m - split, k, n);
             ASSERT_EQ(0, std::memcmp(c1.data(), parts.data(),
                                      m * n * sizeof(float)))
                 << "split=" << split << " m=" << m << " n=" << n
-                << " k=" << k << " backend=" << backend_name(backend);
+                << " k=" << k << " kernel=" << kern.name;
           }
         }
       }
     }
   }
+  if (zmm_missing) GTEST_SKIP() << kNoZmm;
 }
 
 TEST(SimdKernels, F64ElementwiseBitwise) {
@@ -275,18 +304,20 @@ void gemm_chain_reference(const float* a, const float* b, float* c,
   }
 }
 
-// Pins gemm_block's bytes, not just its closeness: AVX2 must equal the
-// std::fma chain exactly, and NEON (mul-then-add lanes) the unfused chain.
-// m = 1..16 covers every mix of the 6-, 4- and 1-row tiles; the n values
-// hit the 16-wide, 8-wide and masked column blocks.
+// Pins gemm_block's bytes, not just its closeness: both x86 tiles (and the
+// avx2 table, whichever tile it picked) must equal the std::fma chain
+// exactly, and NEON (mul-then-add lanes) the unfused chain. m = 1..24
+// covers every mix of the ymm tile's 6-, 4- and 1-row tiles and the zmm
+// tile's 8-, 4- and 1-row tiles; the n values hit the ymm 16-wide, 8-wide
+// and masked blocks and the zmm 32-wide and masked 16- and 32-wide blocks.
 TEST(SimdKernels, GemmBlockIsTheReferenceChain) {
   util::Rng rng(29);
-  const std::size_t ns[] = {1, 2, 7, 8, 9, 15, 16, 17, 33, 90, 256};
+  const std::size_t ns[] = {1,  2,  7,  8,  9,  15, 16, 17, 31,
+                            32, 33, 47, 48, 64, 65, 90, 256};
   const std::size_t ks[] = {1, 5, 64, 122, 256};
-  for (const Backend backend : vector_backends()) {
-    const Kernels& kern = kernels_for(backend);
-    const bool fused = backend == Backend::kAvx2;
-    for (std::size_t m = 1; m <= 16; ++m) {
+  bool zmm_missing = false;
+  for (const GemmUnderTest& kern : gemm_kernels_under_test(zmm_missing)) {
+    for (std::size_t m = 1; m <= 24; ++m) {
       for (const std::size_t n : ns) {
         for (const std::size_t k : ks) {
           auto a = random_f32(m * k, rng);
@@ -297,17 +328,17 @@ TEST(SimdKernels, GemmBlockIsTheReferenceChain) {
           auto want = random_f32(m * n, rng);
           auto got = want;
           gemm_chain_reference(a.data(), b.data(), want.data(), m, k, n,
-                               fused);
-          kern.gemm_block_f32(a.data(), k, b.data(), n, got.data(), n, m, k,
-                              n);
+                               kern.fused);
+          kern.fn(a.data(), k, b.data(), n, got.data(), n, m, k, n);
           ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
                                    m * n * sizeof(float)))
               << "m=" << m << " n=" << n << " k=" << k
-              << " backend=" << backend_name(backend);
+              << " kernel=" << kern.name;
         }
       }
     }
   }
+  if (zmm_missing) GTEST_SKIP() << kNoZmm;
 }
 
 // Today's SiLU expression, the scalar kernel's bitwise contract.
@@ -413,6 +444,26 @@ TEST(SimdKernels, SoftmaxRowCloseAndNormalized) {
         sum += r1[i];
       }
       EXPECT_NEAR(sum, 1.0f, 1e-5f);
+    }
+  }
+}
+
+// A NaN logit poisons the whole row on every backend, as the scalar
+// std::exp loop does: the vector exp must not clamp NaN to a finite value.
+// 12 wide puts the NaN in the 8-wide vector part or the scalar tail.
+TEST(SimdKernels, SoftmaxRowPropagatesNaNOnEveryBackend) {
+  constexpr std::size_t kWidth = 12;
+  for (const Backend backend : available_backends()) {
+    const Kernels& k = kernels_for(backend);
+    for (std::size_t at = 0; at < kWidth; ++at) {
+      std::vector<float> row(kWidth, 0.5f);
+      row[at] = std::nanf("");
+      k.softmax_row_f32(row.data(), kWidth);
+      for (std::size_t i = 0; i < kWidth; ++i) {
+        EXPECT_TRUE(std::isnan(row[i]))
+            << "NaN at " << at << " gave " << row[i] << " at " << i
+            << " backend=" << backend_name(backend);
+      }
     }
   }
 }

@@ -14,6 +14,13 @@ artifact and feeds both ledgers here. The gate:
   * no kernel's throughput — matched by (name, backend), intersection of
     the two ledgers — may drop by more than the same fraction.
 
+The avx2 rows pair only when both ledgers name the same `gemm_tile`: the
+avx2 backend runs the zmm 8x32 GEMM tile on an AVX-512 host and the ymm 6x16
+tile elsewhere, so a run on a host without AVX-512 after one with it would
+read as a GEMM regression. Otherwise they are left out with a logged SKIP
+(and so is `gemm_speedup_vs_scalar`, which is an avx2 number on x86), as
+when no rows pair at all.
+
 Either way a per-kernel diff table goes to the job log, so the trend is
 visible on green runs too. A missing/unreadable previous ledger is a SKIP
 (exit 0): the first run after artifact expiry has nothing to diff against,
@@ -71,6 +78,13 @@ def main():
 
     cur = throughput_by_key(current)
     prev = throughput_by_key(previous)
+    tile_cur = current.get("gemm_tile")
+    tile_prev = previous.get("gemm_tile")
+    same_tile = tile_cur == tile_prev
+    if not same_tile:
+        print(f"SKIP: gemm_tile {tile_prev!r} -> {tile_cur!r} — avx2 rows "
+              "and gemm_speedup_vs_scalar not paired")
+        cur = {key: v for key, v in cur.items() if key[1] != "avx2"}
     shared = sorted(set(cur) & set(prev))
     if not shared:
         print("SKIP: no (kernel, backend) pairs shared between ledgers")
@@ -93,7 +107,8 @@ def main():
 
     speed_cur = current.get("gemm_speedup_vs_scalar")
     speed_prev = previous.get("gemm_speedup_vs_scalar")
-    if speed_cur is not None and speed_prev is not None and speed_prev > 0:
+    if (same_tile and speed_cur is not None and speed_prev is not None
+            and speed_prev > 0):
         ratio = speed_cur / speed_prev
         print(f"gemm_speedup_vs_scalar: {speed_prev:.2f}x -> "
               f"{speed_cur:.2f}x ({ratio:.2f}x of previous)")

@@ -1258,8 +1258,10 @@ int cmd_version() {
     available += simd::backend_name(b);
   }
   std::printf("surro %s\n", kVersionString);
-  std::printf("simd backend: %s (available: %s)\n",
-              simd::active_backend_name(), available.c_str());
+  std::printf("simd backend: %s, gemm tile %s (available: %s)\n",
+              simd::active_backend_name(),
+              simd::gemm_tile_name(simd::active_backend()),
+              available.c_str());
   return 0;
 }
 
